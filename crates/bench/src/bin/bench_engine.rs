@@ -13,6 +13,7 @@
 use mpvl_circuit::generators::{interconnect, rc_ladder, InterconnectParams};
 use mpvl_circuit::MnaSystem;
 use mpvl_engine::{EvalRequest, ReduceSpec, ReductionSession};
+use mpvl_par::with_threads;
 use mpvl_sim::log_space;
 use mpvl_testkit::bench::Bench;
 
@@ -68,15 +69,12 @@ fn main() {
     let freqs = log_space(1e5, 1e10, 41);
     bench.bench("ac_sweep/cold", || {
         let session = ReductionSession::new(rc.clone());
-        session
-            .ac_sweep_with_threads(&freqs, 1)
-            .expect("sweep succeeds");
+        with_threads(1, || session.ac_sweep(&freqs)).expect("sweep succeeds");
     });
     let warm = ReductionSession::new(rc.clone());
-    warm.ac_sweep_with_threads(&freqs, 1).expect("prime");
+    with_threads(1, || warm.ac_sweep(&freqs)).expect("prime");
     bench.bench("ac_sweep/warm", || {
-        warm.ac_sweep_with_threads(&freqs, 1)
-            .expect("sweep succeeds");
+        with_threads(1, || warm.ac_sweep(&freqs)).expect("sweep succeeds");
     });
 
     bench.finish();

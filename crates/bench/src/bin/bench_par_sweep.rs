@@ -7,11 +7,12 @@
 //! Run with `cargo run --release -p mpvl-bench --bin bench_par_sweep`;
 //! writes `target/bench/BENCH_par_sweep.json`. `MPVL_THREADS` only
 //! affects the reported ambient default — the measured cases pin their
-//! worker counts explicitly.
+//! worker counts with `mpvl_par::with_threads`.
 
 use mpvl_circuit::generators::{interconnect, package, InterconnectParams, PackageParams};
 use mpvl_circuit::MnaSystem;
-use mpvl_sim::{ac_sweep_with_threads, log_space, AcSweeper};
+use mpvl_par::with_threads;
+use mpvl_sim::{ac_sweep, log_space, AcSweeper};
 use mpvl_testkit::bench::Bench;
 
 fn main() {
@@ -31,7 +32,7 @@ fn main() {
     let freqs = log_space(1e7, 2e10, 32);
     for threads in [1usize, 2, 4, 8] {
         bench.bench(&format!("ac_sweep_32pts/threads={threads}"), || {
-            ac_sweep_with_threads(&sys, &freqs, threads).expect("sweep");
+            with_threads(threads, || ac_sweep(&sys, &freqs)).expect("sweep");
         });
     }
     if let (Some(t1), Some(t4)) = (
@@ -57,7 +58,7 @@ fn main() {
     let freqs = log_space(1e7, 2e10, 8);
     for threads in [1usize, 2, 4] {
         bench.bench(&format!("ac_sweep_large8/threads={threads}"), || {
-            sweeper.sweep_with_threads(&freqs, threads).expect("sweep");
+            with_threads(threads, || sweeper.sweep(&freqs)).expect("sweep");
         });
     }
     if let (Some(t1), Some(t4)) = (

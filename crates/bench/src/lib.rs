@@ -52,14 +52,20 @@ pub fn export_obs() {
     }
 }
 
-/// Median of a slice (sorted copy); 0 for empty input.
+/// Median of a slice (sorted copy; the mean of the two middle values
+/// for even lengths); 0 for empty input.
 pub fn median(values: &[f64]) -> f64 {
     if values.is_empty() {
         return 0.0;
     }
     let mut v = values.to_vec();
     v.sort_by(|a, b| a.partial_cmp(b).expect("finite values"));
-    v[v.len() / 2]
+    let mid = v.len() / 2;
+    if v.len().is_multiple_of(2) {
+        0.5 * (v[mid - 1] + v[mid])
+    } else {
+        v[mid]
+    }
 }
 
 /// Maximum of a slice; 0 for empty input.
@@ -79,6 +85,7 @@ mod tests {
     #[test]
     fn median_and_max() {
         assert_eq!(median(&[3.0, 1.0, 2.0]), 2.0);
+        assert_eq!(median(&[4.0, 1.0, 3.0, 2.0]), 2.5);
         assert_eq!(median(&[]), 0.0);
         assert_eq!(max(&[1.0, 5.0, 2.0]), 5.0);
     }

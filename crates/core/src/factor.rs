@@ -180,28 +180,18 @@ impl GFactor {
         }
     }
 
-    /// Applies `M⁻¹` to every column of a dense matrix.
-    pub fn apply_minv_mat(&self, x: &Mat<f64>) -> Mat<f64> {
-        self.apply_minv_mat_with_threads(x, mpvl_par::thread_count())
-    }
-
-    /// Applies `M⁻ᵀ` to every column of a dense matrix (the blocked
-    /// mirror of [`GFactor::apply_minv_mat`]).
-    pub fn apply_minv_t_mat(&self, x: &Mat<f64>) -> Mat<f64> {
-        self.apply_minv_t_mat_with_threads(x, mpvl_par::thread_count())
-    }
-
-    /// [`GFactor::apply_minv_mat`] with an explicit worker count.
+    /// Applies `M⁻¹` to every column of a dense matrix on
+    /// [`mpvl_par::thread_count`] workers.
     ///
     /// Columns are independent and each runs the exact serial
     /// per-column kernel, with contiguous index-ordered chunks per
-    /// worker — the result is bit-identical at any `threads`.
-    pub fn apply_minv_mat_with_threads(&self, x: &Mat<f64>, threads: usize) -> Mat<f64> {
+    /// worker — the result is bit-identical at any thread count.
+    pub fn apply_minv_mat(&self, x: &Mat<f64>) -> Mat<f64> {
         let n = self.dim();
         assert_eq!(x.nrows(), n, "dimension mismatch");
         let mut out = Mat::zeros(n, x.ncols());
         let mut cols: Vec<&mut [f64]> = out.as_mut_slice().chunks_mut(n.max(1)).collect();
-        mpvl_par::parallel_for_chunks_with(threads, &mut cols, |offset, chunk| {
+        mpvl_par::parallel_for_chunks(&mut cols, |offset, chunk| {
             for (c, dst) in chunk.iter_mut().enumerate() {
                 self.apply_minv_into(x.col(offset + c), dst);
             }
@@ -209,35 +199,21 @@ impl GFactor {
         out
     }
 
-    /// [`GFactor::apply_minv_t_mat`] with an explicit worker count;
-    /// bit-identical at any `threads` (see
-    /// [`GFactor::apply_minv_mat_with_threads`]).
-    pub fn apply_minv_t_mat_with_threads(&self, x: &Mat<f64>, threads: usize) -> Mat<f64> {
+    /// Applies `M⁻ᵀ` to every column of a dense matrix (the blocked
+    /// mirror of [`GFactor::apply_minv_mat`], equally bit-identical at
+    /// any thread count).
+    pub fn apply_minv_t_mat(&self, x: &Mat<f64>) -> Mat<f64> {
         let n = self.dim();
         assert_eq!(x.nrows(), n, "dimension mismatch");
         let mut out = Mat::zeros(n, x.ncols());
         let mut cols: Vec<&mut [f64]> = out.as_mut_slice().chunks_mut(n.max(1)).collect();
-        mpvl_par::parallel_for_chunks_with(threads, &mut cols, |offset, chunk| {
+        mpvl_par::parallel_for_chunks(&mut cols, |offset, chunk| {
             let mut work = vec![0.0; n];
             for (c, dst) in chunk.iter_mut().enumerate() {
                 self.apply_minv_t_into(x.col(offset + c), &mut work, dst);
             }
         });
         out
-    }
-
-    /// Renamed: explicit worker counts take the `_with_threads` suffix
-    /// (matching `ac_sweep_with_threads`).
-    #[deprecated(note = "renamed to `apply_minv_mat_with_threads`")]
-    pub fn apply_minv_mat_threads(&self, x: &Mat<f64>, threads: usize) -> Mat<f64> {
-        self.apply_minv_mat_with_threads(x, threads)
-    }
-
-    /// Renamed: explicit worker counts take the `_with_threads` suffix
-    /// (matching `ac_sweep_with_threads`).
-    #[deprecated(note = "renamed to `apply_minv_t_mat_with_threads`")]
-    pub fn apply_minv_t_mat_threads(&self, x: &Mat<f64>, threads: usize) -> Mat<f64> {
-        self.apply_minv_t_mat_with_threads(x, threads)
     }
 
     /// Blocked `M⁻¹ X` into a caller-owned matrix: the allocation-free

@@ -11,7 +11,8 @@
 
 use mpvl_circuit::generators::rc_ladder;
 use mpvl_circuit::MnaSystem;
-use mpvl_sim::{ac_sweep_with_threads, log_space};
+use mpvl_par::with_threads;
+use mpvl_sim::{ac_sweep, log_space};
 use sympvl::{sympvl, SympvlOptions};
 
 fn ladder_system() -> MnaSystem {
@@ -43,7 +44,7 @@ fn rc_ladder_reduction_counters_are_pinned() {
 fn rc_ladder_sweep_counters_are_pinned() {
     let sys = ladder_system();
     let freqs = log_space(1e6, 1e10, 21);
-    let (res, cap) = mpvl_obs::capture(|| ac_sweep_with_threads(&sys, &freqs, 1));
+    let (res, cap) = mpvl_obs::capture(|| with_threads(1, || ac_sweep(&sys, &freqs)));
     res.expect("sweep");
 
     // One symbolic analysis on the union pattern, one numeric refactor
@@ -71,8 +72,8 @@ fn rc_ladder_sweep_counters_are_pinned() {
 fn exported_events_are_identical_across_thread_counts() {
     let sys = ladder_system();
     let freqs = log_space(1e6, 1e10, 33);
-    let (r1, cap1) = mpvl_obs::capture(|| ac_sweep_with_threads(&sys, &freqs, 1));
-    let (r4, cap4) = mpvl_obs::capture(|| ac_sweep_with_threads(&sys, &freqs, 4));
+    let (r1, cap1) = mpvl_obs::capture(|| with_threads(1, || ac_sweep(&sys, &freqs)));
+    let (r4, cap4) = mpvl_obs::capture(|| with_threads(4, || ac_sweep(&sys, &freqs)));
     r1.expect("serial sweep");
     r4.expect("parallel sweep");
 

@@ -4,6 +4,7 @@
 use mpvl_circuit::generators::random_rc;
 use mpvl_circuit::MnaSystem;
 use mpvl_la::{Complex64, Mat};
+use mpvl_par::with_threads;
 use mpvl_testkit::prop::check;
 use mpvl_testkit::{prop_assert, prop_assert_eq};
 use sympvl::{read_model, sympvl, write_model, GFactor, SympvlOptions};
@@ -148,11 +149,11 @@ fn blocked_minv_appliers_are_thread_count_invariant() {
             let x = Mat::from_fn(n, 5, |i, j| {
                 (((seed as usize + i * 13 + j * 41) % 89) as f64 * 0.037).cos()
             });
-            let base_fwd = factor.apply_minv_mat_with_threads(&x, 1);
-            let base_bwd = factor.apply_minv_t_mat_with_threads(&x, 1);
+            let base_fwd = with_threads(1, || factor.apply_minv_mat(&x));
+            let base_bwd = with_threads(1, || factor.apply_minv_t_mat(&x));
             for threads in [2, 4] {
-                let fwd = factor.apply_minv_mat_with_threads(&x, threads);
-                let bwd = factor.apply_minv_t_mat_with_threads(&x, threads);
+                let fwd = with_threads(threads, || factor.apply_minv_mat(&x));
+                let bwd = with_threads(threads, || factor.apply_minv_t_mat(&x));
                 for j in 0..5 {
                     prop_assert_eq!(fwd.col(j), base_fwd.col(j), "fwd t={} col {}", threads, j);
                     prop_assert_eq!(bwd.col(j), base_bwd.col(j), "bwd t={} col {}", threads, j);

@@ -8,10 +8,7 @@
 //! The backend-agnostic entry point is [`ReduceSpec`]: one request type
 //! carrying *which* reduction algorithm runs ([`Backend`]) next to the
 //! by-products to compute ([`Want`]) and an optional cross-validation
-//! pass ([`CrossValidateOptions`]). The older per-backend request
-//! structs ([`ReductionRequest`], [`MultiPointRequest`]) remain as
-//! deprecated shims that convert losslessly into a `ReduceSpec` — see
-//! MIGRATION.md.
+//! pass ([`CrossValidateOptions`]).
 
 use sympvl::{
     AdaptiveOptions, BtOptions, Certificate, MultiPointOptions, ReducedModel, Shift, SympvlError,
@@ -366,159 +363,6 @@ impl ReduceSpec {
     pub fn with_cross_validation(mut self, opts: CrossValidateOptions) -> Self {
         self.cross_validate = Some(opts);
         self
-    }
-}
-
-impl From<&ReduceSpec> for ReduceSpec {
-    fn from(spec: &ReduceSpec) -> Self {
-        spec.clone()
-    }
-}
-
-/// One single-point Padé reduction request.
-#[deprecated(note = "superseded by the backend-agnostic `ReduceSpec` — use \
-            `ReduceSpec::pade_fixed` / `ReduceSpec::pade_adaptive` (see MIGRATION.md)")]
-#[derive(Debug, Clone)]
-#[non_exhaustive]
-pub struct ReductionRequest {
-    /// Fixed order or adaptive band.
-    pub order: OrderSpec,
-    /// Reduction options (shift policy, Lanczos tuning). For adaptive
-    /// requests these override the options embedded in the
-    /// [`AdaptiveOptions`].
-    pub sympvl: SympvlOptions,
-    /// By-products to compute from the model.
-    pub want: Want,
-}
-
-#[allow(deprecated)]
-impl ReductionRequest {
-    /// A fixed-order reduction with default options.
-    ///
-    /// # Errors
-    ///
-    /// [`SympvlError::BadOrder`] for order zero.
-    pub fn fixed(order: usize) -> Result<Self, SympvlError> {
-        if order == 0 {
-            return Err(SympvlError::BadOrder { order });
-        }
-        Ok(ReductionRequest {
-            order: OrderSpec::Fixed(order),
-            sympvl: SympvlOptions::default(),
-            want: Want::default(),
-        })
-    }
-
-    /// An adaptive reduction; the request's [`SympvlOptions`] are taken
-    /// from `opts.sympvl`.
-    pub fn adaptive(opts: AdaptiveOptions) -> Self {
-        let sympvl = opts.sympvl.clone();
-        ReductionRequest {
-            order: OrderSpec::Adaptive(opts),
-            sympvl,
-            want: Want::default(),
-        }
-    }
-
-    /// Sets the expansion-point policy.
-    ///
-    /// # Errors
-    ///
-    /// [`SympvlError::BadShift`] for a non-finite explicit shift.
-    pub fn with_shift(mut self, shift: Shift) -> Result<Self, SympvlError> {
-        self.sympvl = self.sympvl.with_shift(shift)?;
-        Ok(self)
-    }
-
-    /// Replaces the reduction options wholesale.
-    pub fn with_sympvl(mut self, sympvl: SympvlOptions) -> Self {
-        self.sympvl = sympvl;
-        self
-    }
-
-    /// Selects the by-products to compute.
-    pub fn with_want(mut self, want: Want) -> Self {
-        self.want = want;
-        self
-    }
-}
-
-#[allow(deprecated)]
-impl From<&ReductionRequest> for ReduceSpec {
-    fn from(request: &ReductionRequest) -> Self {
-        ReduceSpec {
-            backend: Backend::Pade(PadeSpec {
-                order: request.order.clone(),
-                sympvl: request.sympvl.clone(),
-            }),
-            want: request.want.clone(),
-            cross_validate: None,
-        }
-    }
-}
-
-#[allow(deprecated)]
-impl From<ReductionRequest> for ReduceSpec {
-    fn from(request: ReductionRequest) -> Self {
-        ReduceSpec::from(&request)
-    }
-}
-
-/// One multi-point (rational-Krylov) reduction request.
-#[deprecated(note = "superseded by the backend-agnostic `ReduceSpec` — use \
-            `ReduceSpec::multipoint` (see MIGRATION.md)")]
-#[derive(Debug, Clone)]
-#[non_exhaustive]
-pub struct MultiPointRequest {
-    /// Band, budget, placement, and per-point reduction options.
-    pub options: MultiPointOptions,
-    /// By-products to compute from the merged model.
-    pub want: Want,
-}
-
-#[allow(deprecated)]
-impl MultiPointRequest {
-    /// A multi-point reduction with the given options and no by-products.
-    pub fn new(options: MultiPointOptions) -> Self {
-        MultiPointRequest {
-            options,
-            want: Want::default(),
-        }
-    }
-
-    /// Convenience: default options for a band (see
-    /// [`MultiPointOptions::for_band`]).
-    ///
-    /// # Errors
-    ///
-    /// [`SympvlError::InvalidOptions`] unless `0 < f_lo < f_hi` with
-    /// both endpoints finite.
-    pub fn for_band(f_lo: f64, f_hi: f64) -> Result<Self, SympvlError> {
-        Ok(Self::new(MultiPointOptions::for_band(f_lo, f_hi)?))
-    }
-
-    /// Selects the by-products to compute.
-    pub fn with_want(mut self, want: Want) -> Self {
-        self.want = want;
-        self
-    }
-}
-
-#[allow(deprecated)]
-impl From<&MultiPointRequest> for ReduceSpec {
-    fn from(request: &MultiPointRequest) -> Self {
-        ReduceSpec {
-            backend: Backend::MultiPoint(request.options.clone()),
-            want: request.want.clone(),
-            cross_validate: None,
-        }
-    }
-}
-
-#[allow(deprecated)]
-impl From<MultiPointRequest> for ReduceSpec {
-    fn from(request: MultiPointRequest) -> Self {
-        ReduceSpec::from(&request)
     }
 }
 

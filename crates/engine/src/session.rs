@@ -25,8 +25,6 @@
 //! cached work, never a structural invariant.
 
 use crate::cache::{CacheStats, FactorCache, FactorKey};
-#[allow(deprecated)]
-use crate::request::MultiPointRequest;
 use crate::request::{
     AdaptiveInfo, Backend, BackendKind, BalancedInfo, CrossValidateOptions, CrossValidation,
     EvalOutcome, EvalPoint, EvalRequest, ModelId, MultiPointInfo, OrderSpec, PadeSpec, ReduceSpec,
@@ -409,40 +407,20 @@ impl ReductionSession {
         &self.sys
     }
 
-    /// Serves one reduction request — any [`ReduceSpec`] backend, or a
-    /// deprecated request type through its `Into<ReduceSpec>` shim.
+    /// Serves one reduction request, for any [`ReduceSpec`] backend.
     ///
     /// # Errors
     ///
     /// Whatever the underlying reduction, cross-validation, pole,
     /// certificate, or synthesis computation reports.
-    pub fn reduce<S: Into<ReduceSpec>>(&self, request: S) -> Result<ReductionOutcome, SympvlError> {
+    pub fn reduce(&self, spec: &ReduceSpec) -> Result<ReductionOutcome, SympvlError> {
         let _span = mpvl_obs::span("engine", "reduce");
-        let spec = request.into();
-        let pending = self.execute_spec(&spec)?;
+        let pending = self.execute_spec(spec)?;
         Ok(self.register(pending))
     }
 
-    /// Serves one multi-point (rational-Krylov) reduction request.
-    ///
-    /// # Errors
-    ///
-    /// Whatever [`sympvl::reduce_multipoint`] or the requested
-    /// by-products report.
-    #[deprecated(
-        note = "superseded by `ReductionSession::reduce` with `ReduceSpec::multipoint` \
-                (see MIGRATION.md)"
-    )]
-    #[allow(deprecated)]
-    pub fn reduce_multipoint(
-        &self,
-        request: &MultiPointRequest,
-    ) -> Result<ReductionOutcome, SympvlError> {
-        self.reduce(request)
-    }
-
     /// Serves a batch of reduction requests, fanning independent groups
-    /// across threads (`MPVL_THREADS` / [`mpvl_par::thread_count`]).
+    /// across [`mpvl_par::thread_count`] workers.
     ///
     /// Results come back in request-index order, with per-request errors
     /// in place, and are bit-identical to serving the requests one at a
@@ -451,31 +429,7 @@ impl ReductionSession {
     /// multi-point and balanced-truncation requests each form their own
     /// group (their factorizations still share the session factor
     /// cache).
-    pub fn reduce_batch<S>(&self, requests: &[S]) -> Vec<Result<ReductionOutcome, SympvlError>>
-    where
-        for<'a> &'a S: Into<ReduceSpec>,
-    {
-        self.reduce_batch_with_threads(requests, mpvl_par::thread_count())
-    }
-
-    /// [`ReductionSession::reduce_batch`] with an explicit thread count.
-    pub fn reduce_batch_with_threads<S>(
-        &self,
-        requests: &[S],
-        threads: usize,
-    ) -> Vec<Result<ReductionOutcome, SympvlError>>
-    where
-        for<'a> &'a S: Into<ReduceSpec>,
-    {
-        let specs: Vec<ReduceSpec> = requests.iter().map(Into::into).collect();
-        self.reduce_specs(&specs, threads)
-    }
-
-    fn reduce_specs(
-        &self,
-        specs: &[ReduceSpec],
-        threads: usize,
-    ) -> Vec<Result<ReductionOutcome, SympvlError>> {
+    pub fn reduce_batch(&self, specs: &[ReduceSpec]) -> Vec<Result<ReductionOutcome, SympvlError>> {
         let _span = mpvl_obs::span("engine", "reduce_batch");
         // Group Padé requests by run key, preserving first-appearance
         // order; each group runs sequentially against one checked-out
@@ -499,7 +453,7 @@ impl ReductionSession {
         }
         let per_group: Vec<Vec<(usize, Result<PendingOutcome, SympvlError>)>> =
             mpvl_par::parallel_map_with(
-                threads,
+                mpvl_par::thread_count(),
                 &groups,
                 |_| (),
                 |_, _, (key, members)| {
@@ -629,9 +583,10 @@ impl ReductionSession {
     }
 
     /// Evaluates a retained model over a frequency sweep, fanning the
-    /// **points** across threads (`MPVL_THREADS`). The first eval of a
-    /// model compiles its pole–residue [`EvalPlan`]; warm evals are pure
-    /// O(order·ports²) accumulation with zero per-point allocation.
+    /// **points** across [`mpvl_par::thread_count`] workers. The first
+    /// eval of a model compiles its pole–residue [`EvalPlan`]; warm evals
+    /// are pure O(order·ports²) accumulation with zero per-point
+    /// allocation.
     ///
     /// # Errors
     ///
@@ -640,42 +595,20 @@ impl ReductionSession {
     /// was dropped by the retention bound; [`SympvlError::Singular`]
     /// when a frequency hits a pole.
     pub fn eval(&self, request: &EvalRequest) -> Result<EvalOutcome, SympvlError> {
-        self.eval_with_threads(request, mpvl_par::thread_count())
-    }
-
-    /// [`ReductionSession::eval`] with an explicit thread count.
-    ///
-    /// # Errors
-    ///
-    /// See [`ReductionSession::eval`].
-    pub fn eval_with_threads(
-        &self,
-        request: &EvalRequest,
-        threads: usize,
-    ) -> Result<EvalOutcome, SympvlError> {
         let _span = mpvl_obs::span("engine", "eval");
-        self.eval_many(std::slice::from_ref(request), threads)
+        self.eval_many(std::slice::from_ref(request))
             .pop()
             .expect("one result per request")
     }
 
     /// Evaluates a batch of sweeps, results in request-index order. All
     /// points of all requests are flattened into one pool and chunked
-    /// across threads, so a single 2000-point sweep parallelizes as well
-    /// as 2000 one-point sweeps — with bit-identical results at any
-    /// thread count.
+    /// across [`mpvl_par::thread_count`] workers, so a single 2000-point
+    /// sweep parallelizes as well as 2000 one-point sweeps — with
+    /// bit-identical results at any thread count.
     pub fn eval_batch(&self, requests: &[EvalRequest]) -> Vec<Result<EvalOutcome, SympvlError>> {
-        self.eval_batch_with_threads(requests, mpvl_par::thread_count())
-    }
-
-    /// [`ReductionSession::eval_batch`] with an explicit thread count.
-    pub fn eval_batch_with_threads(
-        &self,
-        requests: &[EvalRequest],
-        threads: usize,
-    ) -> Vec<Result<EvalOutcome, SympvlError>> {
         let _span = mpvl_obs::span("engine", "eval_batch");
-        self.eval_many(requests, threads)
+        self.eval_many(requests)
     }
 
     /// The shared eval core: resolve plans serially (deterministic obs
@@ -686,11 +619,7 @@ impl ReductionSession {
     /// Each point's arithmetic is self-contained (its own workspace fill,
     /// its own output matrix), so the chunk boundaries cannot change a
     /// single bit of any result — only the wall-clock time.
-    fn eval_many(
-        &self,
-        requests: &[EvalRequest],
-        threads: usize,
-    ) -> Vec<Result<EvalOutcome, SympvlError>> {
+    fn eval_many(&self, requests: &[EvalRequest]) -> Vec<Result<EvalOutcome, SympvlError>> {
         let resolved: Vec<Result<Arc<EvalPlan>, SympvlError>> = requests
             .iter()
             .map(|request| {
@@ -728,7 +657,7 @@ impl ReductionSession {
         {
             let _span = mpvl_obs::span("engine", "eval_points");
             mpvl_par::parallel_for_chunks_with_init(
-                threads,
+                mpvl_par::thread_count(),
                 &mut slots,
                 |_| None::<(usize, EvalWorkspace)>,
                 |state, _, chunk| {
@@ -796,22 +725,13 @@ impl ReductionSession {
     ///
     /// See [`mpvl_sim::ac_sweep`].
     pub fn ac_sweep(&self, freqs_hz: &[f64]) -> Result<Vec<AcPoint>, AcError> {
-        self.ac_sweep_with_threads(freqs_hz, mpvl_par::thread_count())
-    }
-
-    /// [`ReductionSession::ac_sweep`] with an explicit thread count.
-    pub fn ac_sweep_with_threads(
-        &self,
-        freqs_hz: &[f64],
-        threads: usize,
-    ) -> Result<Vec<AcPoint>, AcError> {
         let sweeper = {
             let mut guard = relock(&self.sweeper);
             guard
                 .get_or_insert_with(|| Arc::new(AcSweeper::new(&self.sys)))
                 .clone()
         };
-        sweeper.sweep_with_threads(freqs_hz, threads)
+        sweeper.sweep(freqs_hz)
     }
 
     /// Cache occupancy and hit/miss counters, as one **consistent**

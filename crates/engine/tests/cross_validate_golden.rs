@@ -15,6 +15,7 @@ use mpvl_circuit::generators::rc_ladder;
 use mpvl_circuit::MnaSystem;
 use mpvl_engine::{BackendKind, CrossValidateOptions, ReduceSpec, ReductionSession, Want};
 use mpvl_la::Complex64;
+use mpvl_par::with_threads;
 use sympvl::{write_model, BtOptions, Certificate};
 
 const F_LO: f64 = 1e6;
@@ -125,7 +126,7 @@ fn cross_validated_batch_is_bit_identical_at_any_thread_count() {
     let mut per_thread: Vec<Vec<(String, u64, u64)>> = Vec::new();
     for threads in [1usize, 2, 4] {
         let session = ReductionSession::new(sys.clone());
-        let outcomes = session.reduce_batch_with_threads(&requests, threads);
+        let outcomes = with_threads(threads, || session.reduce_batch(&requests));
         per_thread.push(
             outcomes
                 .iter()

@@ -11,6 +11,7 @@ use mpvl_circuit::generators::{package, random_rc, rc_ladder, PackageParams};
 use mpvl_circuit::MnaSystem;
 use mpvl_engine::{EvalRequest, ReduceSpec, ReductionSession, Want};
 use mpvl_la::{Complex64, Mat};
+use mpvl_par::with_threads;
 use sympvl::{
     expansion_shift, reduce_multipoint, sampled_passivity, sympvl, Certificate, MultiPointOptions,
     ReducedModel, Shift, SympvlOptions,
@@ -189,7 +190,7 @@ fn merged_model_eval_is_thread_invariant() {
     let request = EvalRequest::new(out.model_id, log_band(1e7, 1e10, 33)).unwrap();
     let mut per_thread = Vec::new();
     for threads in [1usize, 2, 4] {
-        let sweep = session.eval_with_threads(&request, threads).unwrap();
+        let sweep = with_threads(threads, || session.eval(&request)).unwrap();
         let mut h = Fnv::new();
         for point in &sweep.points {
             h.eat_f64(point.freq_hz);

@@ -10,6 +10,7 @@ use mpvl_circuit::generators::{interconnect, rc_ladder, InterconnectParams};
 use mpvl_circuit::MnaSystem;
 use mpvl_engine::{EvalRequest, ReduceSpec, ReductionSession, SessionOptions, Want};
 use mpvl_la::{Complex64, Mat};
+use mpvl_par::with_threads;
 use sympvl::{reduce_adaptive, sympvl, AdaptiveOptions, ReducedModel, Shift, SympvlOptions};
 
 struct Fnv(u64);
@@ -188,7 +189,7 @@ fn batch_results_are_order_stable_and_thread_invariant() {
     let mut per_thread_fingerprints = Vec::new();
     for threads in [1usize, 2, 4] {
         let session = ReductionSession::new(sys.clone());
-        let outcomes = session.reduce_batch_with_threads(&requests, threads);
+        let outcomes = with_threads(threads, || session.reduce_batch(&requests));
         assert_eq!(outcomes.len(), requests.len());
         let fingerprints: Vec<(u64, usize)> = outcomes
             .iter()
@@ -207,7 +208,7 @@ fn batch_results_are_order_stable_and_thread_invariant() {
     assert_eq!(per_thread_fingerprints[0], per_thread_fingerprints[2]);
     // And each batch member matches its cold free-function result.
     let session = ReductionSession::new(sys.clone());
-    let outcomes = session.reduce_batch_with_threads(&requests, 2);
+    let outcomes = with_threads(2, || session.reduce_batch(&requests));
     for (request, outcome) in requests.iter().zip(&outcomes) {
         let outcome = outcome.as_ref().unwrap();
         let mpvl_engine::Backend::Pade(pade) = &request.backend else {
@@ -308,7 +309,7 @@ fn eval_batch_is_thread_invariant_with_ragged_points() {
     ];
     let mut per_thread = Vec::new();
     for threads in [1usize, 2, 4] {
-        let outcomes = session.eval_batch_with_threads(&requests, threads);
+        let outcomes = with_threads(threads, || session.eval_batch(&requests));
         let mut h = Fnv::new();
         for outcome in &outcomes {
             let outcome = outcome.as_ref().expect("all requests valid");

@@ -29,27 +29,61 @@ mod queue;
 
 pub use queue::{BoundedQueue, PushError};
 
+use std::cell::Cell;
 use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::OnceLock;
 
 /// The worker count used by the env-driven entry points.
 ///
-/// `MPVL_THREADS` (a positive integer) overrides the detected hardware
-/// parallelism; `MPVL_THREADS=1` forces the inline single-thread fallback.
-/// Unset or unparsable values fall back to
-/// [`std::thread::available_parallelism`] (1 if even that fails).
+/// Inside a [`with_threads`] scope this is the scope's count, on the
+/// calling thread only. Otherwise `MPVL_THREADS` (a positive integer)
+/// overrides the detected hardware parallelism; `MPVL_THREADS=1` forces
+/// the inline single-thread fallback. Unset or unparsable values fall
+/// back to [`std::thread::available_parallelism`] (1 if even that fails).
 ///
 /// The environment is read **once per process** and cached: callers of
 /// the env-driven entry points never race a concurrent
 /// `std::env::set_var` (mutating the environment from a multi-threaded
 /// test harness is undefined behaviour on POSIX), and every pool
 /// invocation in one run sees the same worker count. Tests that need a
-/// specific count pass it explicitly (e.g.
-/// `mpvl_sim::ac_sweep_with_threads`, [`parallel_map_with`]) or test the
-/// pure parser [`thread_count_from`] instead of mutating the env.
+/// specific count wrap the call in [`with_threads`] (or pass it to
+/// [`parallel_map_with`]) or test the pure parser [`thread_count_from`]
+/// instead of mutating the env.
 pub fn thread_count() -> usize {
     static CACHED: OnceLock<usize> = OnceLock::new();
-    *CACHED.get_or_init(|| thread_count_from(std::env::var("MPVL_THREADS").ok().as_deref()))
+    SCOPED.with(Cell::get).unwrap_or_else(|| {
+        *CACHED.get_or_init(|| thread_count_from(std::env::var("MPVL_THREADS").ok().as_deref()))
+    })
+}
+
+thread_local! {
+    /// The innermost [`with_threads`] count on this thread, if any.
+    static SCOPED: Cell<Option<usize>> = const { Cell::new(None) };
+}
+
+/// Runs `f` with [`thread_count`] returning `threads` (at least 1) on
+/// the calling thread, then restores the previous value — also when `f`
+/// unwinds. Scopes nest (the innermost wins). Threads spawned inside the
+/// scope, pool workers included, do not inherit it and read the
+/// process-wide count, so nested parallel calls behave as they would
+/// outside any scope.
+///
+/// This is how a caller picks the worker count of an env-driven entry
+/// point such as `mpvl_sim::ac_sweep` or `ReductionSession::eval_batch`:
+///
+/// ```
+/// let n = mpvl_par::with_threads(3, mpvl_par::thread_count);
+/// assert_eq!(n, 3);
+/// ```
+pub fn with_threads<R>(threads: usize, f: impl FnOnce() -> R) -> R {
+    struct Restore(Option<usize>);
+    impl Drop for Restore {
+        fn drop(&mut self) {
+            SCOPED.with(|c| c.set(self.0));
+        }
+    }
+    let _restore = Restore(SCOPED.with(|c| c.replace(Some(threads.max(1)))));
+    f()
 }
 
 /// Pure form of the [`thread_count`] policy: `spec` is the value of
@@ -343,6 +377,48 @@ mod tests {
         let first = thread_count();
         assert!(first >= 1);
         assert_eq!(thread_count(), first);
+    }
+
+    #[test]
+    fn with_threads_overrides_the_calling_thread() {
+        let global = thread_count();
+        assert_eq!(with_threads(5, thread_count), 5);
+        assert_eq!(thread_count(), global, "restored after return");
+    }
+
+    #[test]
+    fn with_threads_is_restored_after_a_panic() {
+        let global = thread_count();
+        let caught = std::panic::catch_unwind(|| {
+            with_threads(7, || {
+                assert_eq!(thread_count(), 7);
+                panic!("unwinding out of the scope");
+            })
+        });
+        assert!(caught.is_err());
+        assert_eq!(thread_count(), global);
+    }
+
+    #[test]
+    fn nested_scopes_innermost_wins() {
+        with_threads(2, || {
+            assert_eq!(with_threads(6, thread_count), 6);
+            assert_eq!(thread_count(), 2, "outer scope restored");
+        });
+    }
+
+    #[test]
+    fn with_threads_does_not_reach_spawned_threads() {
+        let global = thread_count();
+        let seen = with_threads(global + 3, || {
+            std::thread::scope(|s| s.spawn(thread_count).join().unwrap())
+        });
+        assert_eq!(seen, global);
+    }
+
+    #[test]
+    fn with_threads_zero_means_one() {
+        assert_eq!(with_threads(0, thread_count), 1);
     }
 
     #[test]

@@ -65,6 +65,4 @@ pub use hash::sha256_hex;
 pub use service::{ReductionService, ServiceOptions, ServiceOutcome, ServiceRequest, ServiceStats};
 
 // Convenience re-exports so a service caller needs one `use` line.
-#[allow(deprecated)]
-pub use mpvl_engine::ReductionRequest;
 pub use mpvl_engine::{Backend, BackendKind, ReduceSpec, ReductionSession, SessionOptions, Want};

@@ -91,31 +91,16 @@ pub fn ac_sweep(sys: &MnaSystem, freqs_hz: &[f64]) -> Result<Vec<AcPoint>, AcErr
     AcSweeper::new(sys).sweep(freqs_hz)
 }
 
-/// [`ac_sweep`] with an explicit worker count (determinism tests and the
-/// scaling bench drive this directly instead of mutating `MPVL_THREADS`).
-///
-/// # Errors
-///
-/// See [`ac_sweep`].
-pub fn ac_sweep_with_threads(
-    sys: &MnaSystem,
-    freqs_hz: &[f64],
-    threads: usize,
-) -> Result<Vec<AcPoint>, AcError> {
-    AcSweeper::new(sys).sweep_with_threads(freqs_hz, threads)
-}
-
 /// Reusable AC-sweep state: the complexified system matrices and the
 /// one-time [`SymbolicLdlt`] analysis, ready to serve any number of
 /// [`AcSweeper::sweep`] calls.
 ///
-/// The free functions [`ac_sweep`]/[`ac_sweep_with_threads`] construct
-/// one per call; the session engine constructs one per system and
-/// amortizes the symbolic analysis (and the `f64 → Complex64` matrix
-/// copies) across every sweep request. Sweeps through a retained
-/// sweeper are bit-identical to the free functions: the symbolic
-/// analysis is deterministic, and each point's numeric work is
-/// unchanged.
+/// The free function [`ac_sweep`] constructs one per call; the session
+/// engine constructs one per system and amortizes the symbolic analysis
+/// (and the `f64 → Complex64` matrix copies) across every sweep
+/// request. Sweeps through a retained sweeper are bit-identical to the
+/// free function: the symbolic analysis is deterministic, and each
+/// point's numeric work is unchanged.
 pub struct AcSweeper {
     g: CscMat<Complex64>,
     c: CscMat<Complex64>,
@@ -195,26 +180,13 @@ impl AcSweeper {
         }
     }
 
-    /// Sweeps on [`mpvl_par::thread_count`] workers.
+    /// Sweeps on [`mpvl_par::thread_count`] workers; the result is
+    /// bit-identical at every thread count.
     ///
     /// # Errors
     ///
     /// See [`ac_sweep`].
     pub fn sweep(&self, freqs_hz: &[f64]) -> Result<Vec<AcPoint>, AcError> {
-        self.sweep_with_threads(freqs_hz, mpvl_par::thread_count())
-    }
-
-    /// Sweeps with an explicit worker count; the result is bit-identical
-    /// at every thread count.
-    ///
-    /// # Errors
-    ///
-    /// See [`ac_sweep`].
-    pub fn sweep_with_threads(
-        &self,
-        freqs_hz: &[f64],
-        threads: usize,
-    ) -> Result<Vec<AcPoint>, AcError> {
         let _sweep_span = mpvl_obs::span("ac", "sweep");
         // One contiguous chunk of points per worker: the numeric
         // workspace, the `K` template and the solve buffers are built
@@ -225,7 +197,7 @@ impl AcSweeper {
         // output is bit-identical at every thread count.
         let mut slots: Vec<Option<Result<AcPoint, AcError>>> = vec![None; freqs_hz.len()];
         parallel_for_chunks_with_init(
-            threads,
+            mpvl_par::thread_count(),
             &mut slots,
             // Per-worker state: the obs worker tag its spans and events
             // are recorded under, the numeric workspace, the `K` matrix
@@ -662,12 +634,12 @@ mod tests {
     fn retained_sweeper_bit_identical_to_free_function() {
         let sys = MnaSystem::assemble(&rc_ladder(20, 50.0, 1e-12)).unwrap();
         let freqs = log_space(1e6, 1e10, 11);
-        let free = ac_sweep_with_threads(&sys, &freqs, 1).unwrap();
+        let free = mpvl_par::with_threads(1, || ac_sweep(&sys, &freqs)).unwrap();
         let sweeper = AcSweeper::new(&sys);
         // Two sweeps through the same sweeper: both must match the free
         // function exactly (the retained symbolic analysis changes no bits).
         for _ in 0..2 {
-            let kept = sweeper.sweep_with_threads(&freqs, 1).unwrap();
+            let kept = mpvl_par::with_threads(1, || sweeper.sweep(&freqs)).unwrap();
             assert_eq!(kept.len(), free.len());
             for (a, b) in kept.iter().zip(&free) {
                 assert_eq!(a.freq_hz.to_bits(), b.freq_hz.to_bits());

@@ -24,10 +24,7 @@ mod params;
 mod transient;
 mod waveform;
 
-pub use ac::{
-    ac_sweep, ac_sweep_with_threads, lin_space, log_space, AcError, AcPoint, AcSweeper, FreqGrid,
-    GridError,
-};
+pub use ac::{ac_sweep, lin_space, log_space, AcError, AcPoint, AcSweeper, FreqGrid, GridError};
 pub use dc::{dc_operating_point, dc_resistance_matrix, DcError, DcPoint};
 pub use measure::{max_deviation, Trace, TraceError};
 pub use params::{s_row_activity, s_to_z, y_to_z, z_to_s, z_to_y, ConvertParamsError};

@@ -6,10 +6,11 @@
 
 use mpvl_circuit::generators::{package, peec, PackageParams, PeecParams};
 use mpvl_circuit::MnaSystem;
-use mpvl_sim::{ac_sweep_with_threads, log_space};
+use mpvl_par::with_threads;
+use mpvl_sim::{ac_sweep, log_space};
 
 fn sweep_lines(sys: &MnaSystem, freqs: &[f64], threads: usize) -> String {
-    let (res, cap) = mpvl_obs::capture(|| ac_sweep_with_threads(sys, freqs, threads));
+    let (res, cap) = mpvl_obs::capture(|| with_threads(threads, || ac_sweep(sys, freqs)));
     res.expect("sweep");
     cap.to_json_lines()
 }

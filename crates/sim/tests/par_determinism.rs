@@ -5,7 +5,8 @@
 
 use mpvl_circuit::generators::{package, peec, PackageParams, PeecParams};
 use mpvl_circuit::MnaSystem;
-use mpvl_sim::{ac_sweep_with_threads, log_space, AcPoint};
+use mpvl_par::with_threads;
+use mpvl_sim::{ac_sweep, log_space, AcPoint};
 
 fn assert_bit_identical(serial: &[AcPoint], parallel: &[AcPoint], threads: usize) {
     assert_eq!(serial.len(), parallel.len());
@@ -40,9 +41,9 @@ fn package_parallel_sweep_is_bit_identical() {
     });
     let sys = MnaSystem::assemble_general(&ckt).unwrap();
     let freqs = log_space(1e7, 2e10, 13);
-    let serial = ac_sweep_with_threads(&sys, &freqs, 1).unwrap();
+    let serial = with_threads(1, || ac_sweep(&sys, &freqs)).unwrap();
     for threads in [2, 4, 8] {
-        let par = ac_sweep_with_threads(&sys, &freqs, threads).unwrap();
+        let par = with_threads(threads, || ac_sweep(&sys, &freqs)).unwrap();
         assert_bit_identical(&serial, &par, threads);
     }
 }
@@ -55,8 +56,8 @@ fn peec_parallel_sweep_is_bit_identical() {
         ..PeecParams::default()
     });
     let freqs = log_space(1e8, 5e9, 11);
-    let serial = ac_sweep_with_threads(&model.system, &freqs, 1).unwrap();
-    let par = ac_sweep_with_threads(&model.system, &freqs, 4).unwrap();
+    let serial = with_threads(1, || ac_sweep(&model.system, &freqs)).unwrap();
+    let par = with_threads(4, || ac_sweep(&model.system, &freqs)).unwrap();
     assert_bit_identical(&serial, &par, 4);
 }
 
@@ -76,9 +77,9 @@ fn odd_point_counts_and_thread_counts_are_bit_identical() {
         } else {
             log_space(1e8, 5e9, points)
         };
-        let serial = ac_sweep_with_threads(&model.system, &freqs, 1).unwrap();
+        let serial = with_threads(1, || ac_sweep(&model.system, &freqs)).unwrap();
         for threads in [2, 3, 5] {
-            let par = ac_sweep_with_threads(&model.system, &freqs, threads).unwrap();
+            let par = with_threads(threads, || ac_sweep(&model.system, &freqs)).unwrap();
             assert_bit_identical(&serial, &par, threads);
         }
     }
@@ -98,10 +99,10 @@ fn repeated_sweeps_through_one_sweeper_are_bit_identical() {
     let sys = MnaSystem::assemble_general(&ckt).unwrap();
     let freqs = log_space(1e7, 2e10, 9);
     let sweeper = mpvl_sim::AcSweeper::new(&sys);
-    let first = sweeper.sweep_with_threads(&freqs, 1).unwrap();
+    let first = with_threads(1, || sweeper.sweep(&freqs)).unwrap();
     for rep in 0..3 {
         for threads in [1, 2, 4] {
-            let again = sweeper.sweep_with_threads(&freqs, threads).unwrap();
+            let again = with_threads(threads, || sweeper.sweep(&freqs)).unwrap();
             assert_bit_identical(&first, &again, threads + 100 * rep);
         }
     }
@@ -119,7 +120,7 @@ fn default_entry_point_matches_explicit_serial() {
     });
     let sys = MnaSystem::assemble_general(&ckt).unwrap();
     let freqs = log_space(1e7, 1e10, 7);
-    let serial = ac_sweep_with_threads(&sys, &freqs, 1).unwrap();
+    let serial = with_threads(1, || ac_sweep(&sys, &freqs)).unwrap();
     let auto = mpvl_sim::ac_sweep(&sys, &freqs).unwrap();
     assert_bit_identical(&serial, &auto, 0);
 }

@@ -919,6 +919,11 @@ impl<T: Scalar> NumericLdlt<T> {
     /// every thread count. Small or chain-shaped problems fall back to the
     /// serial kernel automatically.
     ///
+    /// The one workspace function that still takes an explicit worker
+    /// count (every other parallel entry point reads
+    /// [`mpvl_par::thread_count`], scoped by `mpvl_par::with_threads`):
+    /// the seeded benchmark in `perfbench/` calls it with one.
+    ///
     /// # Errors
     ///
     /// See [`NumericLdlt::refactor`].

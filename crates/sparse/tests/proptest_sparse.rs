@@ -249,8 +249,8 @@ fn mat_mul_is_bit_identical_to_columnwise_matvec() {
             a.matvec_mat_into(&x, &mut y);
             for j in 0..3 {
                 let col = a.matvec(x.col(j));
-                prop_assert_eq!(blocked.col(j), &col[..], "mat_mul col {}", j);
-                prop_assert_eq!(y.col(j), &col[..], "matvec_mat col {}", j);
+                prop_assert_eq!(blocked.col(j), &col[..], "matmul col {}", j);
+                prop_assert_eq!(y.col(j), &col[..], "matvec_mat_into col {}", j);
             }
             Ok(())
         },

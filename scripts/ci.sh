@@ -10,11 +10,29 @@
 set -euo pipefail
 cd "$(dirname "$0")/.."
 
-# Deprecated names are shims for one release cycle: external code gets a
-# warning, in-tree code must not use them. The deprecated_compat.rs
-# suites (crates/core/tests/ and crates/engine/tests/) opt back in with
-# #![allow(deprecated)], which overrides the command-line deny.
-export RUSTFLAGS="-D deprecated"
+# smoke_bench <bin> <result names...>: runs one mpvl-bench bin with
+# reduced samples, then checks that target/bench/BENCH_<suite>.json
+# (suite = bin minus its bench_ prefix) names its suite and holds every
+# given result. Env assignments in front of the call reach the bin.
+smoke_bench() {
+    local bin=$1 suite=${1#bench_}
+    shift
+    local json=target/bench/BENCH_$suite.json
+    echo "==> smoke bench ($bin, reduced samples)"
+    MPVL_BENCH_WARMUP=1 MPVL_BENCH_SAMPLES=3 \
+        cargo run -q --release --offline -p mpvl-bench --bin "$bin"
+    test -s "$json"
+    grep -q "\"suite\": *\"$suite\"" "$json" || {
+        echo "$json missing suite \"$suite\"" >&2
+        exit 1
+    }
+    for name in "$@"; do
+        grep -q "\"$name" "$json" || {
+            echo "$json missing result \"$name\"" >&2
+            exit 1
+        }
+    done
+}
 
 echo "==> cargo fmt --check"
 cargo fmt --check
@@ -45,8 +63,7 @@ if [ -n "$violations" ]; then
 fi
 
 echo "==> cargo build --release --offline --all-targets"
-# --all-targets pulls in the examples and integration tests, so a
-# deprecated name anywhere in tree fails here under -D deprecated.
+# --all-targets pulls in the examples and integration tests.
 cargo build --release --offline --all-targets
 
 echo "==> cargo test -q --offline (MPVL_THREADS=1: single-thread fallback)"
@@ -55,18 +72,8 @@ echo "==> cargo test -q --offline (MPVL_THREADS=1: single-thread fallback)"
 # crates/sim/tests/par_determinism.rs and the mpvl-par unit tests.
 MPVL_THREADS=1 cargo test -q --offline
 
-echo "==> smoke bench (bench_sparse_ldlt, reduced samples)"
-MPVL_BENCH_WARMUP=1 MPVL_BENCH_SAMPLES=3 \
-    cargo run -q --release --offline -p mpvl-bench --bin bench_sparse_ldlt
-
-test -s target/bench/BENCH_sparse_ldlt.json
-for name in ldlt_numeric_scalar/1360 ldlt_numeric_supernodal/1360 \
-    speedup/supernodal_vs_scalar/1360; do
-    grep -q "\"$name" target/bench/BENCH_sparse_ldlt.json || {
-        echo "BENCH_sparse_ldlt.json missing result \"$name\"" >&2
-        exit 1
-    }
-done
+smoke_bench bench_sparse_ldlt ldlt_numeric_scalar/1360 ldlt_numeric_supernodal/1360 \
+    speedup/supernodal_vs_scalar/1360
 
 echo "==> golden bit-identity across thread counts (MPVL_THREADS=2,4)"
 # The MPVL_THREADS=1 run above already covered the single-thread golden
@@ -75,33 +82,11 @@ echo "==> golden bit-identity across thread counts (MPVL_THREADS=2,4)"
 MPVL_THREADS=2 cargo test -q --offline -p sympvl --test golden_bitident
 MPVL_THREADS=4 cargo test -q --offline -p sympvl --test golden_bitident
 
-echo "==> smoke bench (bench_lanczos, reduced samples)"
-MPVL_BENCH_WARMUP=1 MPVL_BENCH_SAMPLES=3 \
-    cargo run -q --release --offline -p mpvl-bench --bin bench_lanczos
+smoke_bench bench_lanczos sympvl_order/8 sympvl_order/64 sympvl_size sympvl_reorth/full \
+    sympvl_reorth/banded
 
-test -s target/bench/BENCH_lanczos.json
-grep -q '"suite": *"lanczos"' target/bench/BENCH_lanczos.json
-for name in sympvl_order/8 sympvl_order/64 sympvl_size sympvl_reorth/full \
-    sympvl_reorth/banded; do
-    grep -q "\"$name" target/bench/BENCH_lanczos.json || {
-        echo "BENCH_lanczos.json missing result \"$name\"" >&2
-        exit 1
-    }
-done
-
-echo "==> smoke bench (bench_engine, reduced samples)"
-MPVL_BENCH_WARMUP=1 MPVL_BENCH_SAMPLES=3 \
-    cargo run -q --release --offline -p mpvl-bench --bin bench_engine
-
-test -s target/bench/BENCH_engine.json
-grep -q '"suite": *"engine"' target/bench/BENCH_engine.json
-for name in session_rc/cold session_rc/warm session_rlc/cold \
-    session_rlc/warm ac_sweep/cold ac_sweep/warm; do
-    grep -q "\"$name" target/bench/BENCH_engine.json || {
-        echo "BENCH_engine.json missing result \"$name\"" >&2
-        exit 1
-    }
-done
+smoke_bench bench_engine session_rc/cold session_rc/warm session_rlc/cold \
+    session_rlc/warm ac_sweep/cold ac_sweep/warm
 
 echo "==> session determinism across threads (MPVL_THREADS=2)"
 # The MPVL_THREADS=1 workspace run above already covered the inline
@@ -123,20 +108,11 @@ echo "==> backend cross-validation golden (MPVL_THREADS=2,4)"
 MPVL_THREADS=2 cargo test -q --offline -p mpvl-engine --test cross_validate_golden
 MPVL_THREADS=4 cargo test -q --offline -p mpvl-engine --test cross_validate_golden
 
-echo "==> smoke bench (bench_par_sweep, MPVL_THREADS=2, MPVL_OBS=json export)"
+# MPVL_THREADS=2 with the MPVL_OBS=json export on.
 rm -f target/obs/ci_smoke.jsonl
-MPVL_BENCH_WARMUP=1 MPVL_BENCH_SAMPLES=3 MPVL_THREADS=2 \
-    MPVL_OBS=json:target/obs/ci_smoke.jsonl \
-    cargo run -q --release --offline -p mpvl-bench --bin bench_par_sweep
-
-test -s target/bench/BENCH_par_sweep.json
-for name in ac_sweep_large8/threads=1 ac_sweep_large8/threads=4 \
-    speedup/large8_t4_vs_t1; do
-    grep -q "\"$name" target/bench/BENCH_par_sweep.json || {
-        echo "BENCH_par_sweep.json missing result \"$name\"" >&2
-        exit 1
-    }
-done
+MPVL_THREADS=2 MPVL_OBS=json:target/obs/ci_smoke.jsonl \
+    smoke_bench bench_par_sweep ac_sweep_large8/threads=1 ac_sweep_large8/threads=4 \
+    speedup/large8_t4_vs_t1
 
 echo "==> validate obs export (target/obs/ci_smoke.jsonl)"
 cargo run -q --release --offline -p mpvl-bench --bin obs_validate -- \
@@ -159,60 +135,14 @@ MPVL_THREADS=2 cargo test -q --offline -p mpvl-engine --lib -- \
     a_panic_under_a_session_lock_does_not_poison_later_requests \
     model_store_is_bounded_and_retires_ids
 
-echo "==> smoke bench (bench_service, reduced samples)"
-MPVL_BENCH_WARMUP=1 MPVL_BENCH_SAMPLES=3 \
-    cargo run -q --release --offline -p mpvl-bench --bin bench_service
-
-test -s target/bench/BENCH_service.json
-grep -q '"suite": *"service"' target/bench/BENCH_service.json
-for name in service_submit/cold service_submit/registry_warm \
-    service_batch/mixed registry/warm_hit_ratio; do
-    grep -q "\"$name" target/bench/BENCH_service.json || {
-        echo "BENCH_service.json missing result \"$name\"" >&2
-        exit 1
-    }
-done
-
-echo "==> smoke bench (bench_eval, reduced samples)"
-MPVL_BENCH_WARMUP=1 MPVL_BENCH_SAMPLES=3 \
-    cargo run -q --release --offline -p mpvl-bench --bin bench_eval
-
-test -s target/bench/BENCH_eval.json
-for name in eval_lu/40x2001 eval_compiled/40x2001 \
-    speedup/compiled_vs_lu/40x2001; do
-    grep -q "\"$name" target/bench/BENCH_eval.json || {
-        echo "BENCH_eval.json missing result \"$name\"" >&2
-        exit 1
-    }
-done
-
-echo "==> smoke bench (bench_multipoint, reduced samples)"
-MPVL_BENCH_WARMUP=1 MPVL_BENCH_SAMPLES=3 \
-    cargo run -q --release --offline -p mpvl-bench --bin bench_multipoint
-
-test -s target/bench/BENCH_multipoint.json
-grep -q '"suite": *"multipoint"' target/bench/BENCH_multipoint.json
-for name in multipoint/worst_band_error singlepoint/worst_band_error \
-    multipoint/reduce_2pt multipoint_adaptive/worst_band_error; do
-    grep -q "\"$name" target/bench/BENCH_multipoint.json || {
-        echo "BENCH_multipoint.json missing result \"$name\"" >&2
-        exit 1
-    }
-done
-
-echo "==> smoke bench (bench_bt, reduced samples)"
-MPVL_BENCH_WARMUP=1 MPVL_BENCH_SAMPLES=3 \
-    cargo run -q --release --offline -p mpvl-bench --bin bench_bt
-
-test -s target/bench/BENCH_bt.json
-grep -q '"suite": *"bt"' target/bench/BENCH_bt.json
-for name in bt/worst_band_error pade/worst_band_error \
-    bt/hankel_spectrum bt/reduce bt/hankel_bound; do
-    grep -q "\"$name" target/bench/BENCH_bt.json || {
-        echo "BENCH_bt.json missing result \"$name\"" >&2
-        exit 1
-    }
-done
+smoke_bench bench_service service_submit/cold service_submit/registry_warm \
+    service_batch/mixed registry/warm_hit_ratio
+smoke_bench bench_eval eval_lu/40x2001 eval_compiled/40x2001 \
+    speedup/compiled_vs_lu/40x2001
+smoke_bench bench_multipoint multipoint/worst_band_error singlepoint/worst_band_error \
+    multipoint/reduce_2pt multipoint_adaptive/worst_band_error
+smoke_bench bench_bt bt/worst_band_error pade/worst_band_error \
+    bt/hankel_spectrum bt/reduce bt/hankel_bound
 
 echo "==> bench gate (factor kernel, sweep scaling, compiled eval, registry, multi-point, balanced truncation)"
 # Fails if the supernodal kernel is slower than the scalar kernel at
