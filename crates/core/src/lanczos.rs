@@ -42,7 +42,10 @@
 //! `J∘w` vector, the cluster-projection right-hand side, the candidate
 //! buffers themselves, and the block-apply staging matrices — lives in
 //! a [`Workspace`] reused across the whole run; the steady-state inner
-//! loop performs no `Vec` allocation.
+//! loop performs no `Vec` allocation. With `J = I` (RC, RL and LC
+//! circuits) the projections read the candidate directly instead of
+//! staging `J∘w`: `x * 1.0 == x` exactly, so the bits are the same
+//! without an N-long copy per closed cluster and pass.
 //!
 //! ## Resumability
 //!
@@ -153,7 +156,7 @@ struct Candidate {
 /// Every buffer is fully overwritten before each read, so a fresh
 /// workspace and a long-lived one produce identical bits.
 struct Workspace {
-    /// `J ∘ w` staging for the cluster projections.
+    /// `J ∘ w` staging for the cluster projections (unused when J = I).
     jw: Vec<f64>,
     /// Cluster-projection right-hand side, solved to coefficients in
     /// place via [`Lu::solve_in_place`] (capacity `max_cluster`).
@@ -321,13 +324,19 @@ fn orthogonalize_candidate(
     let _ortho_span = mpvl_obs::span("lanczos", "orthogonalize");
     for _pass in 0..2 {
         for (k, cluster) in closed.iter().enumerate().skip(window_start) {
-            // rhs = V_k^T (J ∘ w), solved in place against Δ^{(k)}.
-            for (ji, (&x, &s)) in ws.jw.iter_mut().zip(cand.w.iter().zip(j_diag)) {
-                *ji = x * s;
-            }
+            // rhs = V_k^T (J ∘ w), solved in place against Δ^{(k)}. With
+            // J = I, `x * 1.0 == x` bit for bit, so w itself is J ∘ w.
+            let jw = if identity_j {
+                &cand.w
+            } else {
+                for (ji, (&x, &s)) in ws.jw.iter_mut().zip(cand.w.iter().zip(j_diag)) {
+                    *ji = x * s;
+                }
+                &ws.jw
+            };
             ws.coef.clear();
             ws.coef
-                .extend(cluster.iter().map(|&i| mpvl_la::dot(&vectors[i], &ws.jw)));
+                .extend(cluster.iter().map(|&i| mpvl_la::dot(&vectors[i], jw)));
             closed_delta_lu[k]
                 .solve_in_place(&mut ws.coef)
                 .expect("closed cluster Delta is invertible");

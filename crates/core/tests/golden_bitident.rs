@@ -11,9 +11,11 @@
 //! at any ambient thread count because the blocked primitives fan out
 //! per column with identical per-column arithmetic.
 
-use mpvl_circuit::generators::{interconnect, random_lc, rc_ladder, InterconnectParams};
+use mpvl_circuit::generators::{
+    interconnect, package, random_lc, rc_ladder, InterconnectParams, PackageParams,
+};
 use mpvl_circuit::MnaSystem;
-use sympvl::{sympvl, ReducedModel, SympvlOptions};
+use sympvl::{sympvl, LanczosOptions, ReducedModel, Shift, SympvlOptions};
 
 /// FNV-1a over the exact little-endian bit patterns of the model's
 /// numerical payload (`t`, `delta`, `rho`) plus its dimensions.
@@ -52,11 +54,34 @@ fn reduce_fingerprint(sys: &MnaSystem, order: usize) -> u64 {
     model_fingerprint(&model)
 }
 
-/// (name, expected fingerprint, actual): captured 2026-08-06 from the
-/// pre-`LinearOperator` scalar path at commit 4a04b20+1.
+/// The J ≠ I path: a general-RLC package (indefinite `J`) expanded
+/// in-band, with a cluster tolerance that makes look-ahead build
+/// three two-vector clusters (45 clusters for 48 vectors, none forced).
+fn package_lookahead_fingerprint() -> u64 {
+    let ckt = package(&PackageParams {
+        pins: 10,
+        signal_pins: vec![0, 5],
+        sections: 4,
+        ..PackageParams::default()
+    });
+    let sys = MnaSystem::assemble_general(&ckt).expect("assemble");
+    let opts = SympvlOptions::new()
+        .with_shift(Shift::Value(2.0 * std::f64::consts::PI * 5e8))
+        .expect("shift")
+        .with_lanczos(LanczosOptions {
+            cluster_tol: 1e-3,
+            ..LanczosOptions::default()
+        });
+    model_fingerprint(&sympvl(&sys, 48, &opts).expect("reduce"))
+}
+
+/// (name, expected fingerprint, actual): the first three captured
+/// 2026-08-06 from the pre-`LinearOperator` scalar path at commit
+/// 4a04b20+1; the package case captured 2026-10-17 at b87de9e, before
+/// the J = I re-orthogonalization shortcut, to pin the J ≠ I branch.
 #[test]
 fn reduced_models_are_bit_identical_to_pre_rework_path() {
-    let cases: [(&str, u64, u64); 3] = [
+    let cases: [(&str, u64, u64); 4] = [
         (
             "rc_ladder(64)/order8",
             0xdced_a9d6_38c0_1260,
@@ -86,6 +111,11 @@ fn reduced_models_are_bit_identical_to_pre_rework_path() {
                 &MnaSystem::assemble(&random_lc(7, 40, 2)).expect("assemble"),
                 10,
             ),
+        ),
+        (
+            "package(p10,s4)/lookahead/order48",
+            0x3a88_873f_ec1a_153f,
+            package_lookahead_fingerprint(),
         ),
     ];
     let mismatches: Vec<String> = cases

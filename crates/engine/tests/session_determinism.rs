@@ -325,22 +325,6 @@ fn eval_batch_is_thread_invariant_with_ragged_points() {
 }
 
 #[test]
-fn eval_plans_are_cached_per_model() {
-    let sys = interconnect_sys();
-    let session = ReductionSession::new(sys);
-    let outcome = session.reduce(&ReduceSpec::pade_fixed(8).unwrap()).unwrap();
-    let request = EvalRequest::new(outcome.model_id, vec![1e7, 1e9]).unwrap();
-    let (_, report) = mpvl_obs::capture(|| {
-        session.eval(&request).unwrap();
-        session.eval(&request).unwrap();
-        session.eval(&request).unwrap();
-    });
-    assert_eq!(report.counter("engine", "eval_plan_compiles"), 1);
-    assert_eq!(report.counter("engine", "eval_plan_hits"), 2);
-    assert_eq!(report.counter("engine", "eval_points"), 6);
-}
-
-#[test]
 fn wants_are_computed_from_the_same_model() {
     let sys = MnaSystem::assemble(&rc_ladder(30, 100.0, 1e-12)).unwrap();
     let session = ReductionSession::new(sys.clone());

@@ -1,6 +1,6 @@
 //! Quotient-graph minimum-degree ordering.
 //!
-//! The production-grade replacement for the naive elimination-graph
+//! The quotient-graph alternative to the explicit elimination-graph
 //! minimum degree in [`crate::min_degree`]: instead of materializing
 //! elimination cliques (quadratic blow-up on dense-ish fronts), the
 //! quotient graph represents each eliminated pivot as an *element* whose

@@ -8,8 +8,8 @@
 //! * [`CscMat`] — compressed sparse columns with the symmetric helpers the
 //!   solvers need (`permute_sym`, `add_scaled`, `adjacency`).
 //! * [`Ordering`] / [`rcm`] / [`min_degree`] / [`quotient_min_degree`] —
-//!   fill-reducing orderings (the quotient-graph variant is the
-//!   production path; see `amd`).
+//!   fill-reducing orderings ([`min_degree`] is the default; the
+//!   quotient-graph variant trades time for less fill, see `amd`).
 //! * [`SparseLdlt`] — unpivoted up-looking LDLᵀ, generic over `f64` and
 //!   [`mpvl_la::Complex64`] (the latter serves AC analysis `G + jωC`).
 //! * [`SymbolicLdlt`] / [`NumericLdlt`] — the factorize-once-symbolically,

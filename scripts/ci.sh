@@ -73,7 +73,7 @@ echo "==> cargo test -q --offline (MPVL_THREADS=1: single-thread fallback)"
 MPVL_THREADS=1 cargo test -q --offline
 
 smoke_bench bench_sparse_ldlt ldlt_numeric_scalar/1360 ldlt_numeric_supernodal/1360 \
-    speedup/supernodal_vs_scalar/1360
+    speedup/supernodal_vs_scalar/1360 ldlt_ordering/mindegree_grid/40401
 
 echo "==> golden bit-identity across thread counts (MPVL_THREADS=2,4)"
 # The MPVL_THREADS=1 run above already covered the single-thread golden
@@ -92,6 +92,8 @@ echo "==> session determinism across threads (MPVL_THREADS=2)"
 # The MPVL_THREADS=1 workspace run above already covered the inline
 # path; the engine's batch fan-out must be bit-identical with a pool.
 MPVL_THREADS=2 cargo test -q --offline -p mpvl-engine --test session_determinism
+# Exact obs counters need a process without concurrently emitting tests.
+MPVL_THREADS=2 cargo test -q --offline -p mpvl-engine --test eval_plan_counters
 
 echo "==> multi-point determinism across threads (MPVL_THREADS=2)"
 # The multi-point driver is sequential over expansion points, so its
