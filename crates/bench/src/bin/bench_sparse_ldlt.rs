@@ -4,9 +4,12 @@
 //! Run with `cargo run --release -p mpvl-bench --bin bench_sparse_ldlt`;
 //! writes `target/bench/BENCH_sparse_ldlt.json`.
 
+use mpvl_bench::rc_grid;
 use mpvl_circuit::generators::{interconnect, InterconnectParams};
-use mpvl_circuit::{Circuit, MnaSystem, GROUND};
-use mpvl_sparse::{NumericLdlt, Ordering, SparseLdlt, SymbolicLdlt};
+use mpvl_circuit::MnaSystem;
+use mpvl_sparse::{
+    min_degree, quotient_min_degree, NumericLdlt, Ordering, SparseLdlt, SymbolicLdlt,
+};
 use mpvl_testkit::bench::Bench;
 use std::sync::Arc;
 
@@ -25,29 +28,6 @@ fn systems() -> Vec<(usize, mpvl_sparse::CscMat<f64>)> {
             (k.nrows(), k)
         })
         .collect()
-}
-
-/// `G + s₀C` of a `side × side` RC mesh: 0.05 Ω segments, 10 fF from
-/// every node to ground and a port at one corner — the 2-D power-grid
-/// shape where the fill-reducing ordering dominates a cold factor.
-fn rc_grid(side: usize) -> mpvl_sparse::CscMat<f64> {
-    let mut ckt = Circuit::new();
-    let nodes: Vec<usize> = (0..side * side).map(|_| ckt.add_node()).collect();
-    for r in 0..side {
-        for c in 0..side {
-            let a = nodes[r * side + c];
-            if c + 1 < side {
-                ckt.add_resistor(&format!("Rh{r}_{c}"), a, nodes[r * side + c + 1], 0.05);
-            }
-            if r + 1 < side {
-                ckt.add_resistor(&format!("Rv{r}_{c}"), a, nodes[(r + 1) * side + c], 0.05);
-            }
-            ckt.add_capacitor(&format!("C{r}_{c}"), a, GROUND, 10e-15);
-        }
-    }
-    ckt.add_port("P0", nodes[0], GROUND);
-    let sys = MnaSystem::assemble(&ckt).expect("valid circuit");
-    sys.g.add_scaled(1.0, &sys.c, 1e9)
 }
 
 fn main() {
@@ -99,19 +79,25 @@ fn main() {
         ("natural", Ordering::Natural),
         ("rcm", Ordering::Rcm),
         ("mindegree", Ordering::MinDegree),
-        ("quotient_md", Ordering::QuotientMinDegree),
     ] {
         bench.bench(&format!("ldlt_ordering/{name}"), || {
             SparseLdlt::factor(&k, o).expect("factor");
         });
     }
+    bench.bench("ldlt_ordering/quotient_md", || {
+        SparseLdlt::factor_with_perm(&k, quotient_min_degree(&k.adjacency())).expect("factor");
+    });
+    // 40,401 unknowns: `MinDegree` takes the quotient path here, and
+    // `explicit_md_grid` times the explicit form it replaced.
     let grid = rc_grid(201);
-    bench.bench(
-        &format!("ldlt_ordering/mindegree_grid/{}", grid.nrows()),
-        || {
-            SparseLdlt::factor(&grid, Ordering::MinDegree).expect("factor");
-        },
-    );
+    let grid = grid.g.add_scaled(1.0, &grid.c, 1e9);
+    let n = grid.nrows();
+    bench.bench(&format!("ldlt_ordering/mindegree_grid/{n}"), || {
+        SparseLdlt::factor(&grid, Ordering::MinDegree).expect("factor");
+    });
+    bench.bench(&format!("ldlt_ordering/explicit_md_grid/{n}"), || {
+        SparseLdlt::factor_with_perm(&grid, min_degree(&grid.adjacency())).expect("factor");
+    });
 
     bench.finish();
     mpvl_bench::export_obs();

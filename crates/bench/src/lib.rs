@@ -78,6 +78,29 @@ pub fn rel_err(a: mpvl_la::Complex64, b: mpvl_la::Complex64) -> f64 {
     (a - b).abs() / b.abs().max(1e-300)
 }
 
+/// A `side × side` RC mesh: 0.05 Ω segments, 10 fF from every node to
+/// ground and a port at one corner — the 2-D power-grid shape where the
+/// fill-reducing ordering dominates a cold factor.
+pub fn rc_grid(side: usize) -> mpvl_circuit::MnaSystem {
+    use mpvl_circuit::{Circuit, MnaSystem, GROUND};
+    let mut ckt = Circuit::new();
+    let nodes: Vec<usize> = (0..side * side).map(|_| ckt.add_node()).collect();
+    for r in 0..side {
+        for c in 0..side {
+            let a = nodes[r * side + c];
+            if c + 1 < side {
+                ckt.add_resistor(&format!("Rh{r}_{c}"), a, nodes[r * side + c + 1], 0.05);
+            }
+            if r + 1 < side {
+                ckt.add_resistor(&format!("Rv{r}_{c}"), a, nodes[(r + 1) * side + c], 0.05);
+            }
+            ckt.add_capacitor(&format!("C{r}_{c}"), a, GROUND, 10e-15);
+        }
+    }
+    ckt.add_port("P0", nodes[0], GROUND);
+    MnaSystem::assemble(&ckt).expect("valid circuit")
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;

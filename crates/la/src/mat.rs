@@ -119,6 +119,14 @@ impl<T: Scalar> Mat<T> {
         &mut self.data[j * self.nrows..(j + 1) * self.nrows]
     }
 
+    /// Sets the column count in place: leading columns keep their values,
+    /// new columns are zero. The allocation is kept when shrinking, so a
+    /// staging matrix can move between widths without reallocating.
+    pub fn resize_cols(&mut self, ncols: usize) {
+        self.data.resize(self.nrows * ncols, T::zero());
+        self.ncols = ncols;
+    }
+
     /// Copies row `i` into a new vector.
     pub fn row(&self, i: usize) -> Vec<T> {
         (0..self.ncols).map(|j| self[(i, j)]).collect()

@@ -15,18 +15,25 @@ pub enum Ordering {
     Natural,
     /// Reverse Cuthill–McKee.
     Rcm,
-    /// Minimum degree on the explicit elimination graph, pivots from a
-    /// heap (see [`min_degree`]) — the default used by the solvers here.
-    /// About 4 s on the benchmark's 100,489-unknown power grid.
+    /// Minimum degree — the default used by the solvers here. Up to
+    /// [`EXPLICIT_MD_MAX`] unknowns it runs on the explicit elimination
+    /// graph ([`min_degree`]); above, on the quotient graph
+    /// ([`crate::quotient_min_degree`]), which is faster and gives less
+    /// fill there on grids and packages (0.23 s against 3.5 s and 14 %
+    /// less fill on a 100,489-unknown RC grid). The threshold keeps every
+    /// pinned fingerprint of a smaller system on the explicit form's bits.
     #[default]
     MinDegree,
-    /// Quotient-graph minimum degree with supervariables and element
-    /// absorption: equal-or-better fill (8 % better on the package
-    /// workload, 14 % on the 100,489-unknown power grid) but slower than
-    /// [`Ordering::MinDegree`] at every size measured here, including
-    /// that grid (10–13 s against ≈ 4 s on a 2-vCPU Xeon VM).
-    QuotientMinDegree,
 }
+
+/// Size above which [`Ordering::MinDegree`] switches from the explicit
+/// elimination graph to the quotient graph. It sits above every system
+/// a bit-pinned suite factors (the largest is a 3,417-unknown
+/// interconnect). Past it the quotient graph orders RC grids and
+/// packages 3–15× faster with 6–18 % less fill; on interconnects it gives
+/// the same fill, up to 0.05 s slower (`EXPERIMENTS.md`, `grid_cold`
+/// part 2).
+pub const EXPLICIT_MD_MAX: usize = 10_000;
 
 /// Computes an ordering of the undirected graph `adj`.
 ///
@@ -35,8 +42,8 @@ pub fn compute_ordering(adj: &[Vec<usize>], which: Ordering) -> Vec<usize> {
     match which {
         Ordering::Natural => (0..adj.len()).collect(),
         Ordering::Rcm => rcm(adj),
+        Ordering::MinDegree if adj.len() > EXPLICIT_MD_MAX => crate::quotient_min_degree(adj),
         Ordering::MinDegree => min_degree(adj),
-        Ordering::QuotientMinDegree => crate::quotient_min_degree(adj),
     }
 }
 
@@ -230,12 +237,7 @@ mod tests {
     #[test]
     fn all_orderings_are_permutations() {
         for adj in [path_graph(10), star_graph(7)] {
-            for o in [
-                Ordering::Natural,
-                Ordering::Rcm,
-                Ordering::MinDegree,
-                Ordering::QuotientMinDegree,
-            ] {
+            for o in [Ordering::Natural, Ordering::Rcm, Ordering::MinDegree] {
                 let p = compute_ordering(&adj, o);
                 assert!(is_permutation(&p, adj.len()), "{o:?} not a permutation");
             }

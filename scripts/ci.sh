@@ -73,7 +73,8 @@ echo "==> cargo test -q --offline (MPVL_THREADS=1: single-thread fallback)"
 MPVL_THREADS=1 cargo test -q --offline
 
 smoke_bench bench_sparse_ldlt ldlt_numeric_scalar/1360 ldlt_numeric_supernodal/1360 \
-    speedup/supernodal_vs_scalar/1360 ldlt_ordering/mindegree_grid/40401
+    speedup/supernodal_vs_scalar/1360 ldlt_ordering/mindegree_grid/40401 \
+    ldlt_ordering/explicit_md_grid/40401
 
 echo "==> golden bit-identity across thread counts (MPVL_THREADS=2,4)"
 # The MPVL_THREADS=1 run above already covered the single-thread golden
@@ -83,7 +84,7 @@ MPVL_THREADS=2 cargo test -q --offline -p sympvl --test golden_bitident
 MPVL_THREADS=4 cargo test -q --offline -p sympvl --test golden_bitident
 
 smoke_bench bench_lanczos sympvl_order/8 sympvl_order/64 sympvl_size sympvl_reorth/full \
-    sympvl_reorth/banded
+    sympvl_reorth/banded krylov_apply/columns64 krylov_apply/block64
 
 smoke_bench bench_engine session_rc/cold session_rc/warm session_rlc/cold \
     session_rlc/warm ac_sweep/cold ac_sweep/warm
