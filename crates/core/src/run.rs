@@ -118,13 +118,13 @@ impl SympvlRun {
             // pass is bit-identical to a cold call by construction.
             let mut fresh = BlockLanczos::new(&self.j_diag, &self.start, &self.opts.lanczos);
             fresh.run(&op, order);
-            fresh.outcome(&op)
+            fresh.outcome()
         } else {
             if self.state.accepted() > 0 && order > self.state.accepted() {
                 mpvl_obs::counter_add("sympvl_run", "lanczos_resumes", 1);
             }
             self.state.run(&op, order);
-            self.state.outcome(&op)
+            self.state.outcome()
         };
         assemble_model(sys, &self.factor, self.shift, out, order)
     }
@@ -157,13 +157,13 @@ impl SympvlRun {
         let out = if order < self.state.accepted() {
             let mut fresh = BlockLanczos::new(&self.j_diag, &self.start, &self.opts.lanczos);
             fresh.run(&op, order);
-            fresh.outcome(&op)
+            fresh.outcome()
         } else {
             if self.state.accepted() > 0 && order > self.state.accepted() {
                 mpvl_obs::counter_add("sympvl_run", "lanczos_resumes", 1);
             }
             self.state.run(&op, order);
-            self.state.outcome(&op)
+            self.state.outcome()
         };
         let basis = self.factor.apply_minv_t_mat(&out.v);
         let model = assemble_model(sys, &self.factor, self.shift, out, order)?;
