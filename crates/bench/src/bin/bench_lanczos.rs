@@ -1,6 +1,7 @@
 //! Micro-benchmarks of the SyMPVL reduction itself: cost vs order and vs
-//! circuit size, the full-reorthogonalization toggle, and the operator
-//! apply `M⁻¹CM⁻ᵀ` one column at a time against the blocked path.
+//! circuit size, the full-reorthogonalization toggle, the operator
+//! apply `M⁻¹CM⁻ᵀ` one column at a time against the blocked path, and a
+//! many-port run where block re-orthogonalization dominates.
 //!
 //! Run with `cargo run --release -p mpvl-bench --bin bench_lanczos`;
 //! writes `target/bench/BENCH_lanczos.json`.
@@ -9,7 +10,9 @@ use mpvl_circuit::generators::{interconnect, InterconnectParams};
 use mpvl_circuit::MnaSystem;
 use mpvl_la::Mat;
 use mpvl_testkit::bench::Bench;
-use sympvl::{sympvl, GFactor, KrylovOperator, LanczosOptions, LinearOperator, SympvlOptions};
+use sympvl::{
+    block_lanczos, sympvl, GFactor, KrylovOperator, LanczosOptions, LinearOperator, SympvlOptions,
+};
 
 fn main() {
     let mut bench = Bench::new("lanczos");
@@ -74,6 +77,17 @@ fn main() {
     });
     bench.bench("krylov_apply/block64", || {
         op.apply_block(&x, &mut y);
+    });
+
+    // One 64-port, order-128 Lanczos run on the same factor, ports at 64
+    // spread unit vectors: the `grid_cold` shape at 0.4× the unknowns,
+    // where the block Gram–Schmidt re-orthogonalization dominates.
+    let b = Mat::from_fn(n, 64, |i, j| f64::from(u8::from(i == j * n / 64)));
+    let start = factor.apply_minv_mat(&b);
+    let j_diag = factor.j_diag();
+    bench.bench("reorth/grid201_p64", || {
+        let out = block_lanczos(&op, &j_diag, &start, 128, &LanczosOptions::default());
+        assert_eq!(out.order(), 128);
     });
 
     bench.finish();

@@ -31,26 +31,45 @@
 //! ## Hot-path structure
 //!
 //! The operator is a [`LinearOperator`], not a boxed closure, so the
-//! process can apply it to a *block* of vectors at once: successor
-//! candidates `Â v` are generated lazily, in two places only — whenever
-//! the candidate queue runs dry (every accepted-but-ungenerated vector
-//! at once), and once at the end of [`BlockLanczos::run`], so that
+//! process can apply it to a *block* of vectors at once. Candidates are
+//! processed in **blocks**: a block starts whenever the next candidate
+//! has not been projected yet. At that point the successors `Â vᵢ` of
+//! every accepted vector are generated (in [`ROW_SOLVE_WIDTH`]-column
+//! [`LinearOperator::apply_block`] calls, `p` columns per block with
+//! `J = I` and `p` ports), and the block is the whole queue. Successors
+//! are also generated once at the end of [`BlockLanczos::run`], so
 //! [`BlockLanczos::outcome`] and a resumed `run` never apply the
-//! operator to a vector twice. Each generation applies the operator in
-//! [`ROW_SOLVE_WIDTH`]-column [`LinearOperator::apply_block`] calls;
-//! with `J = I` and `p` ports that is `p` columns per generation, where
-//! generating at every (singleton) cluster close gave one. Because
-//! successors always enter the queue in acceptance order under any
-//! schedule, the FIFO pop sequence (and hence every FP operation,
-//! coefficient, and obs counter) is identical to eager per-acceptance
-//! generation. All per-candidate scratch — the `J∘w` vector, the
-//! cluster-projection right-hand side, the candidate buffers themselves,
-//! and one `N × ROW_SOLVE_WIDTH` block-apply staging pair — lives in a
-//! [`Workspace`] reused across the whole run; the steady-state inner
-//! loop performs no `Vec` allocation. With `J = I` (RC, RL and LC
-//! circuits) the projections read the candidate directly instead of
-//! staging `J∘w`: `x * 1.0 == x` exactly, so the bits are the same
-//! without an N-long copy per closed cluster and pass.
+//! operator to a vector twice.
+//!
+//! Full re-J-orthogonalization is block classical Gram–Schmidt, run
+//! twice (BCGS2), on the `mpvl-la` kernels [`block_dot`] and
+//! [`block_sub`], which stream the basis once per pass for a whole
+//! block instead of once per candidate:
+//!
+//! 1. at block start, the block is projected twice against the clusters
+//!    closed so far: `C = Δ⁻¹·Vᵀ(J∘W)` (one `Δ⁻¹` solve per cluster),
+//!    `W −= V·C`, with `C` recorded into `T`/`ρ`;
+//! 2. the block is then consumed in sub-blocks of [`SUB_BLOCK`]
+//!    candidates; each sub-block gets the same two projections against
+//!    the clusters closed since the block began;
+//! 3. each candidate finishes with a per-candidate modified Gram–Schmidt
+//!    leaf, twice: cluster by cluster against the clusters closed since
+//!    its sub-block began, then vector by vector (plain inner product)
+//!    against the open look-ahead cluster.
+//!
+//! The deflation test then sees the explicitly orthogonalized norm. The
+//! kernels fix each entry's summation order independently of the batch
+//! width and column position, so a block's split never changes a bit;
+//! block and sub-block boundaries depend only on the pop sequence, which
+//! the target order does not enter (see *Resumability*). Banded mode
+//! (`full_reorth: false`) skips steps 1–2 and runs the leaf from its
+//! coupling window. With `J = I` the projections read the candidates
+//! directly instead of staging `J∘w` (`x * 1.0 == x` exactly).
+//!
+//! The process's own scratch — the `J∘w` staging, the coefficient
+//! block, recycled candidate buffers and one `N × ROW_SOLVE_WIDTH`
+//! block-apply staging pair — lives in a [`Workspace`] reused across
+//! the whole run.
 //!
 //! ## Resumability
 //!
@@ -62,12 +81,20 @@
 //! larger order because the target order never enters the arithmetic: it
 //! only decides *when to stop accepting* (and when the trailing-column
 //! coefficient flush begins). `outcome` therefore performs the flush on a
-//! *clone* of the coefficient state — the retained state never observes
-//! it. The free function [`block_lanczos`] is `new` + `run` + `outcome`.
+//! *clone* of the in-flight state ([`Pending`]) — the retained state never
+//! observes it. The free function [`block_lanczos`] is `new` + `run` +
+//! `outcome`.
 
-use mpvl_la::{sym_eigen, Lu, Mat};
+use mpvl_la::{block_dot, block_sub, sym_eigen, Lu, Mat};
 use mpvl_sparse::ROW_SOLVE_WIDTH;
 use std::collections::VecDeque;
+use std::ops::Range;
+
+/// Candidates per sub-block of a BCGS2 block (see the module docs). On
+/// the 100,489-unknown, 64-port RC grid, sub-blocks of 8 kept the
+/// per-candidate leaf small while the sub-block kernels stayed wide
+/// enough to stream the basis efficiently.
+const SUB_BLOCK: usize = 8;
 
 /// A symmetric linear operator `x ↦ A x` applied into caller-owned
 /// storage — the interface the Lanczos process drives.
@@ -154,18 +181,45 @@ struct Candidate {
     src: Src,
     /// Norm at creation time; the deflation test is relative to it.
     orig_norm: f64,
+    /// Closed clusters `0..projected` are already projected out by the
+    /// block kernels; the leaf starts after them.
+    projected: usize,
 }
 
-/// Reusable scratch for the Lanczos inner loop. Everything sized `N` or
-/// `max_cluster` is allocated once (or recycled) and reused for every
-/// candidate, so the steady-state per-candidate path is allocation-free.
-/// Every buffer is fully overwritten before each read, so a fresh
-/// workspace and a long-lived one produce identical bits.
+/// The kernels read and update a candidate's vector in place.
+impl AsRef<[f64]> for Candidate {
+    fn as_ref(&self) -> &[f64] {
+        &self.w
+    }
+}
+
+impl AsMut<[f64]> for Candidate {
+    fn as_mut(&mut self) -> &mut [f64] {
+        &mut self.w
+    }
+}
+
+impl Candidate {
+    fn new(w: Vec<f64>, src: Src) -> Self {
+        let orig_norm = mpvl_la::norm2(&w);
+        Candidate {
+            w,
+            src,
+            orig_norm,
+            projected: 0,
+        }
+    }
+}
+
+/// Reusable scratch for the Lanczos inner loop, allocated once (or
+/// recycled) and reused for every block and candidate. Every buffer is
+/// fully overwritten before each read, so a fresh workspace and a
+/// long-lived one produce identical bits.
 struct Workspace {
-    /// `J ∘ w` staging for the cluster projections (unused when J = I).
-    jw: Vec<f64>,
-    /// Cluster-projection right-hand side, solved to coefficients in
-    /// place via [`Lu::solve_in_place`] (capacity `max_cluster`).
+    /// `J ∘ w` staging, one column per projected candidate (unused when
+    /// J = I).
+    jw: Vec<Vec<f64>>,
+    /// The `k × m` coefficient block of one projection, column-major.
     coef: Vec<f64>,
     /// Recycled candidate buffers (from deflated / flushed candidates).
     pool: Vec<Vec<f64>>,
@@ -175,10 +229,10 @@ struct Workspace {
 }
 
 impl Workspace {
-    fn new(big_n: usize, max_cluster: usize) -> Self {
+    fn new(big_n: usize) -> Self {
         Workspace {
-            jw: vec![0.0; big_n],
-            coef: Vec::with_capacity(max_cluster.max(1)),
+            jw: Vec::new(),
+            coef: Vec::new(),
             pool: Vec::new(),
             batch: (Mat::zeros(big_n, 0), Mat::zeros(big_n, 0)),
         }
@@ -223,21 +277,21 @@ impl LanczosOutcome {
 /// `vectors[*gen_upto..upto]`, in blocked operator applications of at
 /// most [`ROW_SOLVE_WIDTH`] columns, and advances the generation frontier.
 ///
-/// Generation is deferred (to queue underruns and the end of a run)
-/// rather than eager (per acceptance), but candidates are pure
-/// functions of frozen accepted vectors and always enqueue in index
-/// order, so the FIFO pop sequence — and with it every downstream FP
-/// operation — is identical to the eager schedule.
+/// Generation is deferred (to block starts and the end of a run) rather
+/// than eager (per acceptance), but candidates are pure functions of
+/// frozen accepted vectors and always enqueue in index order, so the
+/// FIFO pop sequence — and with it every downstream FP operation — is
+/// identical to the eager schedule.
 fn generate_successors<O: LinearOperator + ?Sized>(
     op: &O,
     j_diag: &[f64],
     vectors: &[Vec<f64>],
     gen_upto: &mut usize,
-    upto: usize,
     queue: &mut VecDeque<Candidate>,
     ws: &mut Workspace,
 ) {
     let big_n = j_diag.len();
+    let upto = vectors.len();
     for lo in (*gen_upto..upto).step_by(ROW_SOLVE_WIDTH) {
         let m = ROW_SOLVE_WIDTH.min(upto - lo);
         let (vb, avb) = &mut ws.batch;
@@ -255,12 +309,7 @@ fn generate_successors<O: LinearOperator + ?Sized>(
             for (wi, (&x, &s)) in w.iter_mut().zip(avb.col(c).iter().zip(j_diag)) {
                 *wi = x * s;
             }
-            let orig_norm = mpvl_la::norm2(&w);
-            queue.push_back(Candidate {
-                w,
-                src: Src::Vector(lo + c),
-                orig_norm,
-            });
+            queue.push_back(Candidate::new(w, Src::Vector(lo + c)));
         }
     }
     *gen_upto = upto;
@@ -274,80 +323,177 @@ fn record(t_coef: &mut Mat<f64>, rho: &mut Mat<f64>, row: usize, src: Src, val: 
     }
 }
 
-/// The candidate-processing kernel shared by the accepting phase
-/// ([`BlockLanczos::run`]) and the coefficient flush
-/// ([`BlockLanczos::outcome`]): J-orthogonalize against the closed
-/// clusters (twice for hygiene), plain-orthonormalize against the open
-/// cluster, and record every subtraction coefficient into `t_coef`/`rho`.
-///
-/// In banded mode, the closed-cluster sweep is restricted to the trailing
-/// window of clusters that the three-term structure actually couples to
-/// (those covering indices >= first index of the source's own window).
-#[allow(clippy::too_many_arguments)]
-fn orthogonalize_candidate(
-    opts: &LanczosOptions,
-    j_diag: &[f64],
+/// The accepted basis and its cluster bookkeeping: read-only while
+/// candidates are orthogonalized against it.
+struct Basis {
+    opts: LanczosOptions,
+    j_diag: Vec<f64>,
     identity_j: bool,
     p: usize,
-    vectors: &[Vec<f64>],
-    closed: &[Vec<usize>],
-    closed_delta_lu: &[Lu<f64>],
-    open: &[usize],
-    ws: &mut Workspace,
-    cand: &mut Candidate,
-    t_coef: &mut Mat<f64>,
-    rho: &mut Mat<f64>,
-) {
-    let window_start = if opts.full_reorth {
-        0
-    } else {
-        let anchor = match cand.src {
-            Src::Init(_) => 0,
-            Src::Vector(i) => i.saturating_sub(2 * p + 2),
-        };
-        closed
-            .iter()
-            .position(|c| c.iter().any(|&idx| idx >= anchor))
-            .unwrap_or(closed.len())
-    };
-    let _ortho_span = mpvl_obs::span("lanczos", "orthogonalize");
-    for _pass in 0..2 {
-        for (k, cluster) in closed.iter().enumerate().skip(window_start) {
-            // rhs = V_k^T (J ∘ w), solved in place against Δ^{(k)}. With
-            // J = I, `x * 1.0 == x` bit for bit, so w itself is J ∘ w.
-            let jw = if identity_j {
-                &cand.w
-            } else {
-                for (ji, (&x, &s)) in ws.jw.iter_mut().zip(cand.w.iter().zip(j_diag)) {
-                    *ji = x * s;
-                }
-                &ws.jw
+    vectors: Vec<Vec<f64>>,
+    closed: Vec<Vec<usize>>,
+    closed_delta: Vec<Mat<f64>>,
+    closed_delta_lu: Vec<Lu<f64>>,
+    open: Vec<usize>,
+}
+
+impl Basis {
+    /// The vector indices of closed cluster `c` (clusters hold
+    /// consecutive indices).
+    fn cluster_span(&self, c: usize) -> Range<usize> {
+        let cluster = &self.closed[c];
+        cluster[0]..cluster[cluster.len() - 1] + 1
+    }
+
+    /// One classical Gram–Schmidt step of `cands` against the closed
+    /// clusters `clusters`: `C = Δ⁻¹·Vᵀ(J∘W)` with one `Δ⁻¹` solve per
+    /// cluster, then `W −= V·C`, recording `C` into `t_coef`/`rho`.
+    fn project_closed(
+        &self,
+        clusters: Range<usize>,
+        cands: &mut [&mut Candidate],
+        ws: &mut Workspace,
+        t_coef: &mut Mat<f64>,
+        rho: &mut Mat<f64>,
+    ) {
+        if clusters.is_empty() || cands.is_empty() {
+            return;
+        }
+        let lo = self.cluster_span(clusters.start).start;
+        let hi = self.cluster_span(clusters.end - 1).end;
+        let v = &self.vectors[lo..hi];
+        let (k, m) = (hi - lo, cands.len());
+        ws.coef.resize(k * m, 0.0);
+        if self.identity_j {
+            block_dot(v, cands, &mut ws.coef);
+        } else {
+            ws.jw.resize_with(m, Vec::new);
+            for (jw, cand) in ws.jw.iter_mut().zip(cands.iter()) {
+                jw.clear();
+                jw.extend(cand.w.iter().zip(&self.j_diag).map(|(&x, &s)| x * s));
+            }
+            block_dot(v, &ws.jw[..m], &mut ws.coef);
+        }
+        for (coef, cand) in ws.coef.chunks_exact_mut(k).zip(cands.iter()) {
+            for c in clusters.clone() {
+                let rows = self.cluster_span(c);
+                self.closed_delta_lu[c]
+                    .solve_in_place(&mut coef[rows.start - lo..rows.end - lo])
+                    .expect("closed cluster Delta is invertible");
+            }
+            for (i, &x) in coef.iter().enumerate() {
+                record(t_coef, rho, lo + i, cand.src, x);
+            }
+        }
+        block_sub(v, &ws.coef, cands);
+    }
+
+    /// The per-candidate leaf, twice: cluster by cluster against the
+    /// closed clusters the block kernels have not covered (in banded
+    /// mode: the trailing window of clusters the three-term structure
+    /// couples to, those covering indices ≥ the source's own window),
+    /// then vector by vector against the open cluster in the plain inner
+    /// product (step 1b: the open cluster's J-Gram is singular, so plain
+    /// projections keep its raw vectors independent).
+    fn leaf(
+        &self,
+        cand: &mut Candidate,
+        ws: &mut Workspace,
+        t_coef: &mut Mat<f64>,
+        rho: &mut Mat<f64>,
+    ) {
+        let from = if self.opts.full_reorth {
+            cand.projected
+        } else {
+            let anchor = match cand.src {
+                Src::Init(_) => 0,
+                Src::Vector(i) => i.saturating_sub(2 * self.p + 2),
             };
-            ws.coef.clear();
-            ws.coef
-                .extend(cluster.iter().map(|&i| mpvl_la::dot(&vectors[i], jw)));
-            closed_delta_lu[k]
-                .solve_in_place(&mut ws.coef)
-                .expect("closed cluster Delta is invertible");
-            for (ci, &i) in cluster.iter().enumerate() {
-                if ws.coef[ci] != 0.0 {
-                    mpvl_la::axpy(-ws.coef[ci], &vectors[i], &mut cand.w);
-                    record(t_coef, rho, i, cand.src, ws.coef[ci]);
-                }
+            self.closed
+                .iter()
+                .position(|c| c.iter().any(|&idx| idx >= anchor))
+                .unwrap_or(self.closed.len())
+        };
+        for _pass in 0..2 {
+            for c in from..self.closed.len() {
+                self.project_closed(c..c + 1, &mut [&mut *cand], ws, t_coef, rho);
+            }
+            for &i in &self.open {
+                let v = std::slice::from_ref(&self.vectors[i]);
+                let mut tau = [0.0];
+                block_dot(v, &[&cand.w], &mut tau);
+                block_sub(v, &tau, &mut [&mut cand.w]);
+                record(t_coef, rho, i, cand.src, tau[0]);
+            }
+            if self.identity_j && !self.opts.full_reorth {
+                break; // single pass suffices for the cheap banded mode
             }
         }
-        // --- Plain orthonormalization against the open cluster
-        // (step 1b: the open cluster's J-Gram is singular, so plain
-        // projections keep its raw vectors independent).
-        for &i in open {
-            let tau = mpvl_la::dot(&vectors[i], &cand.w);
-            if tau != 0.0 {
-                mpvl_la::axpy(-tau, &vectors[i], &mut cand.w);
-                record(t_coef, rho, i, cand.src, tau);
-            }
+    }
+}
+
+/// The candidates in flight and the coefficients recorded so far: what
+/// [`BlockLanczos::outcome`] flushes on a clone.
+#[derive(Clone)]
+struct Pending {
+    /// Candidate queue; block size p_c = queue length.
+    queue: VecDeque<Candidate>,
+    /// Leading queue entries that belong to the current block.
+    block_left: usize,
+    /// Leading queue entries that belong to the current sub-block.
+    sub_left: usize,
+    /// Coefficient storage; grown by [`BlockLanczos::run`] to
+    /// `target.min(N) + 1` rows (growth copies bits, never values).
+    t_coef: Mat<f64>,
+    rho: Mat<f64>,
+}
+
+impl Pending {
+    /// Pops the next candidate and orthogonalizes it completely: a block
+    /// starts when `block_left` is 0 (the whole queue is then
+    /// unprojected), a sub-block when `sub_left` is 0, and the leaf
+    /// finishes the candidate. `None` when the queue is empty.
+    fn next(&mut self, basis: &Basis, ws: &mut Workspace) -> Option<Candidate> {
+        if self.queue.is_empty() {
+            return None;
         }
-        if identity_j && !opts.full_reorth {
-            break; // single pass suffices for the cheap banded mode
+        let _span = mpvl_obs::span("lanczos", "orthogonalize");
+        if self.sub_left == 0 {
+            if self.block_left == 0 {
+                self.block_left = self.queue.len();
+                self.project_front(self.block_left, basis, ws);
+            }
+            self.sub_left = SUB_BLOCK.min(self.block_left);
+            self.project_front(self.sub_left, basis, ws);
+        }
+        let mut cand = self.queue.pop_front().expect("queue is nonempty");
+        self.block_left -= 1;
+        self.sub_left -= 1;
+        basis.leaf(&mut cand, ws, &mut self.t_coef, &mut self.rho);
+        Some(cand)
+    }
+
+    /// BCGS2 on the first `m` queued candidates: two projections against
+    /// the closed clusters they have not seen yet (all `m` share that
+    /// range). A no-op in banded mode.
+    fn project_front(&mut self, m: usize, basis: &Basis, ws: &mut Workspace) {
+        if !basis.opts.full_reorth {
+            return;
+        }
+        let clusters = self.queue[0].projected..basis.closed.len();
+        let mut cands: Vec<&mut Candidate> = self.queue.range_mut(..m).collect();
+        debug_assert!(cands.iter().all(|c| c.projected == clusters.start));
+        for _pass in 0..2 {
+            basis.project_closed(
+                clusters.clone(),
+                &mut cands,
+                ws,
+                &mut self.t_coef,
+                &mut self.rho,
+            );
+        }
+        for cand in cands {
+            cand.projected = clusters.end;
         }
     }
 }
@@ -368,28 +514,14 @@ fn orthogonalize_candidate(
 /// live in a cache next to the factorization it was built from). Every
 /// `run` must pass an operator that computes the same map bit-for-bit.
 pub struct BlockLanczos {
-    opts: LanczosOptions,
-    j_diag: Vec<f64>,
-    identity_j: bool,
+    basis: Basis,
+    pending: Pending,
     big_n: usize,
-    p: usize,
-    /// Coefficient storage; grown by [`BlockLanczos::run`] to
-    /// `target.min(N) + 1` rows (growth copies bits, never values).
-    t_coef: Mat<f64>,
-    rho: Mat<f64>,
-    vectors: Vec<Vec<f64>>,
-    // Cluster bookkeeping.
-    closed: Vec<Vec<usize>>,
-    closed_delta: Vec<Mat<f64>>,
-    closed_delta_lu: Vec<Lu<f64>>,
-    open: Vec<usize>,
     forced_cluster_closes: usize,
     ws: Workspace,
     /// Successors exist for `vectors[..gen_upto]`; the frontier advances
-    /// monotonically at queue underruns and at the end of each `run`.
+    /// monotonically at block starts and at the end of each `run`.
     gen_upto: usize,
-    /// Candidate queue; block size p_c = queue length.
-    queue: VecDeque<Candidate>,
     p1: usize,
     deflation_steps: Vec<usize>,
     exhausted: bool,
@@ -411,35 +543,36 @@ impl BlockLanczos {
         assert_eq!(big_n, j_diag.len(), "dimension mismatch");
         let identity_j = j_diag.iter().all(|&s| s == 1.0);
 
-        let mut queue: VecDeque<Candidate> = VecDeque::with_capacity(p);
-        for jcol in 0..p {
-            let col = start.col(jcol);
-            let w: Vec<f64> = col.iter().zip(j_diag).map(|(&x, &s)| x * s).collect();
-            let orig_norm = mpvl_la::norm2(&w);
-            queue.push_back(Candidate {
-                w,
-                src: Src::Init(jcol),
-                orig_norm,
-            });
-        }
+        let queue: VecDeque<Candidate> = (0..p)
+            .map(|jcol| {
+                let w = start.col(jcol).iter().zip(j_diag).map(|(&x, &s)| x * s);
+                Candidate::new(w.collect(), Src::Init(jcol))
+            })
+            .collect();
 
         BlockLanczos {
-            opts: opts.clone(),
-            j_diag: j_diag.to_vec(),
-            identity_j,
+            basis: Basis {
+                opts: opts.clone(),
+                j_diag: j_diag.to_vec(),
+                identity_j,
+                p,
+                vectors: Vec::new(),
+                closed: Vec::new(),
+                closed_delta: Vec::new(),
+                closed_delta_lu: Vec::new(),
+                open: Vec::new(),
+            },
+            pending: Pending {
+                queue,
+                block_left: 0,
+                sub_left: 0,
+                t_coef: Mat::zeros(0, 0),
+                rho: Mat::zeros(0, p),
+            },
             big_n,
-            p,
-            t_coef: Mat::zeros(0, 0),
-            rho: Mat::zeros(0, p),
-            vectors: Vec::new(),
-            closed: Vec::new(),
-            closed_delta: Vec::new(),
-            closed_delta_lu: Vec::new(),
-            open: Vec::new(),
             forced_cluster_closes: 0,
-            ws: Workspace::new(big_n, opts.max_cluster),
+            ws: Workspace::new(big_n),
             gen_upto: 0,
-            queue,
             p1: p,
             deflation_steps: Vec::new(),
             exhausted: false,
@@ -449,13 +582,13 @@ impl BlockLanczos {
 
     /// Number of Lanczos vectors accepted so far (closed + open clusters).
     pub fn accepted(&self) -> usize {
-        self.vectors.len()
+        self.basis.vectors.len()
     }
 
     /// Number of accepted vectors inside *closed* clusters — the order an
     /// [`BlockLanczos::outcome`] taken now would have.
     pub fn closed_count(&self) -> usize {
-        self.closed.iter().map(|c| c.len()).sum()
+        self.basis.closed.iter().map(|c| c.len()).sum()
     }
 
     /// `true` once the Krylov space is exhausted: further `run` calls
@@ -470,23 +603,25 @@ impl BlockLanczos {
     /// have been allocated as up front.
     fn ensure_capacity(&mut self, target: usize) {
         let cap = target.min(self.big_n) + 1;
-        if self.t_coef.nrows() >= cap {
+        let pending = &mut self.pending;
+        if pending.t_coef.nrows() >= cap {
             return;
         }
         let mut t = Mat::zeros(cap, cap);
-        for i in 0..self.t_coef.nrows() {
-            for j in 0..self.t_coef.ncols() {
-                t[(i, j)] = self.t_coef[(i, j)];
+        for i in 0..pending.t_coef.nrows() {
+            for j in 0..pending.t_coef.ncols() {
+                t[(i, j)] = pending.t_coef[(i, j)];
             }
         }
-        self.t_coef = t;
-        let mut r = Mat::zeros(cap, self.p);
-        for i in 0..self.rho.nrows() {
-            for j in 0..self.p {
-                r[(i, j)] = self.rho[(i, j)];
+        pending.t_coef = t;
+        let p = self.basis.p;
+        let mut r = Mat::zeros(cap, p);
+        for i in 0..pending.rho.nrows() {
+            for j in 0..p {
+                r[(i, j)] = pending.rho[(i, j)];
             }
         }
-        self.rho = r;
+        pending.rho = r;
     }
 
     /// Accepts vectors until `target_order` are held (or the space is
@@ -502,164 +637,147 @@ impl BlockLanczos {
         assert_eq!(self.big_n, op.dim(), "operator dimension mismatch");
         let target = target_order.min(self.big_n);
         self.ensure_capacity(target);
-        loop {
-            if self.exhausted || self.vectors.len() >= target {
-                break;
+        while !self.exhausted && self.basis.vectors.len() < target {
+            if self.pending.block_left == 0 {
+                // Block start: every pending successor joins the queue
+                // (exactly where the eager schedule would have had them
+                // queued already).
+                generate_successors(
+                    op,
+                    &self.basis.j_diag,
+                    &self.basis.vectors,
+                    &mut self.gen_upto,
+                    &mut self.pending.queue,
+                    &mut self.ws,
+                );
             }
-            let mut cand = match self.queue.pop_front() {
-                Some(cand) => cand,
-                None if self.gen_upto < self.vectors.len() => {
-                    // Deferred successors remain; materialize them (this is
-                    // exactly where the eager schedule would have had them
-                    // queued already) and re-pop.
-                    generate_successors(
-                        op,
-                        &self.j_diag,
-                        &self.vectors,
-                        &mut self.gen_upto,
-                        self.vectors.len(),
-                        &mut self.queue,
-                        &mut self.ws,
-                    );
-                    self.queue
-                        .pop_front()
-                        .expect("successors were just generated")
-                }
-                None => {
-                    self.exhausted = true;
-                    break;
-                }
+            let Some(cand) = self.pending.next(&self.basis, &mut self.ws) else {
+                self.exhausted = true;
+                break;
             };
             self.iter_count += 1;
-
-            orthogonalize_candidate(
-                &self.opts,
-                &self.j_diag,
-                self.identity_j,
-                self.p,
-                &self.vectors,
-                &self.closed,
-                &self.closed_delta_lu,
-                &self.open,
-                &mut self.ws,
-                &mut cand,
-                &mut self.t_coef,
-                &mut self.rho,
-            );
-
-            // --- Deflation test (step 1c).
-            let nrm = mpvl_la::norm2(&cand.w);
-            if nrm <= self.opts.dtol * cand.orig_norm.max(f64::MIN_POSITIVE) {
-                self.deflation_steps.push(self.iter_count);
-                if mpvl_obs::enabled() {
-                    mpvl_obs::counter_add("lanczos", "deflations", 1);
-                    mpvl_obs::event_at(
-                        "lanczos",
-                        "deflation",
-                        self.iter_count as u64,
-                        vec![
-                            (
-                                "src",
-                                mpvl_obs::Value::Str(match cand.src {
-                                    Src::Init(_) => "init",
-                                    Src::Vector(_) => "vector",
-                                }),
-                            ),
-                            (
-                                "rel_norm",
-                                mpvl_obs::Value::F64(nrm / cand.orig_norm.max(f64::MIN_POSITIVE)),
-                            ),
-                        ],
-                    );
-                }
-                if matches!(cand.src, Src::Init(_)) {
-                    self.p1 -= 1;
-                }
-                self.ws.pool.push(cand.w);
-                if self.queue.is_empty() && self.gen_upto == self.vectors.len() {
-                    self.exhausted = true;
-                    break;
-                }
-                continue;
-            }
-
-            // --- Accept (step 1h).
-            let idx = self.vectors.len();
-            record(&mut self.t_coef, &mut self.rho, idx, cand.src, nrm);
-            let mut v = cand.w;
-            mpvl_la::scal(1.0 / nrm, &mut v);
-            self.vectors.push(v);
-            self.open.push(idx);
-
-            // --- Cluster-completion check (step 2).
-            let m = self.open.len();
-            let mut dmat = Mat::zeros(m, m);
-            for (a, &ia) in self.open.iter().enumerate() {
-                for (b, &ib) in self.open.iter().enumerate() {
-                    let jw: f64 = self.vectors[ia]
-                        .iter()
-                        .zip(&self.vectors[ib])
-                        .zip(&self.j_diag)
-                        .map(|((&x, &y), &s)| x * s * y)
-                        .sum();
-                    dmat[(a, b)] = jw;
-                }
-            }
-            // `forced` flags a cluster that hit `max_cluster` while its Gram
-            // matrix was still ill-conditioned — the near-breakdown that
-            // look-ahead could not fully resolve.
-            let (close_now, forced) = if self.identity_j {
-                (true, false)
-            } else {
-                let eig = sym_eigen(&dmat).expect("tiny symmetric eigenproblem");
-                let min_abs = eig
-                    .values
-                    .iter()
-                    .map(|v| v.abs())
-                    .fold(f64::INFINITY, f64::min);
-                let well_conditioned = min_abs > self.opts.cluster_tol;
-                (
-                    well_conditioned || m >= self.opts.max_cluster,
-                    !well_conditioned && m >= self.opts.max_cluster,
-                )
-            };
-            if close_now {
-                if forced {
-                    self.forced_cluster_closes += 1;
-                }
-                if mpvl_obs::enabled() {
-                    mpvl_obs::counter_add("lanczos", "clusters_closed", 1);
-                    if forced {
-                        mpvl_obs::counter_add("lanczos", "forced_cluster_closes", 1);
-                    }
-                    mpvl_obs::event_at(
-                        "lanczos",
-                        "cluster_close",
-                        self.iter_count as u64,
-                        vec![
-                            ("size", mpvl_obs::Value::U64(m as u64)),
-                            ("forced", mpvl_obs::Value::Bool(forced)),
-                        ],
-                    );
-                }
-                self.closed_delta_lu
-                    .push(Lu::new(dmat.clone()).expect("cluster Gram invertible"));
-                self.closed_delta.push(dmat);
-                self.closed.push(std::mem::take(&mut self.open));
-            }
+            self.accept_or_deflate(cand);
         }
         // --- New candidates (step 3a): w = J · A vᵢ for every accepted
         // vector whose successor is still pending, so `outcome` and a
         // resumed `run` find them queued and never apply the operator.
         generate_successors(
             op,
-            &self.j_diag,
-            &self.vectors,
+            &self.basis.j_diag,
+            &self.basis.vectors,
             &mut self.gen_upto,
-            self.vectors.len(),
-            &mut self.queue,
+            &mut self.pending.queue,
             &mut self.ws,
         );
+    }
+
+    /// Steps 1c–2 for one orthogonalized candidate: the deflation test,
+    /// then acceptance and the cluster-completion check.
+    fn accept_or_deflate(&mut self, cand: Candidate) {
+        // --- Deflation test (step 1c).
+        let nrm = mpvl_la::norm2(&cand.w);
+        if nrm <= self.basis.opts.dtol * cand.orig_norm.max(f64::MIN_POSITIVE) {
+            self.deflation_steps.push(self.iter_count);
+            if mpvl_obs::enabled() {
+                mpvl_obs::counter_add("lanczos", "deflations", 1);
+                mpvl_obs::event_at(
+                    "lanczos",
+                    "deflation",
+                    self.iter_count as u64,
+                    vec![
+                        (
+                            "src",
+                            mpvl_obs::Value::Str(match cand.src {
+                                Src::Init(_) => "init",
+                                Src::Vector(_) => "vector",
+                            }),
+                        ),
+                        (
+                            "rel_norm",
+                            mpvl_obs::Value::F64(nrm / cand.orig_norm.max(f64::MIN_POSITIVE)),
+                        ),
+                    ],
+                );
+            }
+            if matches!(cand.src, Src::Init(_)) {
+                self.p1 -= 1;
+            }
+            self.ws.pool.push(cand.w);
+            return;
+        }
+
+        // --- Accept (step 1h).
+        let basis = &mut self.basis;
+        let idx = basis.vectors.len();
+        record(
+            &mut self.pending.t_coef,
+            &mut self.pending.rho,
+            idx,
+            cand.src,
+            nrm,
+        );
+        let mut v = cand.w;
+        mpvl_la::scal(1.0 / nrm, &mut v);
+        basis.vectors.push(v);
+        basis.open.push(idx);
+
+        // --- Cluster-completion check (step 2).
+        let m = basis.open.len();
+        let mut dmat = Mat::zeros(m, m);
+        for (a, &ia) in basis.open.iter().enumerate() {
+            for (b, &ib) in basis.open.iter().enumerate() {
+                let jw: f64 = basis.vectors[ia]
+                    .iter()
+                    .zip(&basis.vectors[ib])
+                    .zip(&basis.j_diag)
+                    .map(|((&x, &y), &s)| x * s * y)
+                    .sum();
+                dmat[(a, b)] = jw;
+            }
+        }
+        // `forced` flags a cluster that hit `max_cluster` while its Gram
+        // matrix was still ill-conditioned — the near-breakdown that
+        // look-ahead could not fully resolve.
+        let (close_now, forced) = if basis.identity_j {
+            (true, false)
+        } else {
+            let eig = sym_eigen(&dmat).expect("tiny symmetric eigenproblem");
+            let min_abs = eig
+                .values
+                .iter()
+                .map(|v| v.abs())
+                .fold(f64::INFINITY, f64::min);
+            let well_conditioned = min_abs > basis.opts.cluster_tol;
+            (
+                well_conditioned || m >= basis.opts.max_cluster,
+                !well_conditioned && m >= basis.opts.max_cluster,
+            )
+        };
+        if close_now {
+            if forced {
+                self.forced_cluster_closes += 1;
+            }
+            if mpvl_obs::enabled() {
+                mpvl_obs::counter_add("lanczos", "clusters_closed", 1);
+                if forced {
+                    mpvl_obs::counter_add("lanczos", "forced_cluster_closes", 1);
+                }
+                mpvl_obs::event_at(
+                    "lanczos",
+                    "cluster_close",
+                    self.iter_count as u64,
+                    vec![
+                        ("size", mpvl_obs::Value::U64(m as u64)),
+                        ("forced", mpvl_obs::Value::Bool(forced)),
+                    ],
+                );
+            }
+            basis
+                .closed_delta_lu
+                .push(Lu::new(dmat.clone()).expect("cluster Gram invertible"));
+            basis.closed_delta.push(dmat);
+            basis.closed.push(std::mem::take(&mut basis.open));
+        }
     }
 
     /// Assembles the [`LanczosOutcome`] at the current state, truncated
@@ -667,42 +785,26 @@ impl BlockLanczos {
     ///
     /// The candidates still in flight carry the trailing columns of `Tₙ`
     /// (the paper computes `t_{·,n−p_c+1..n}` during iterations
-    /// `n+1..n+p_c`); this flush runs on a **clone** of the coefficient
-    /// state and queue, so the retained state is untouched and a later
+    /// `n+1..n+p_c`); this flush runs on a **clone** of the in-flight
+    /// state, so the retained state is untouched and a later
     /// [`BlockLanczos::run`] continues exactly as if no outcome had been
     /// taken. `run` leaves every successor generated, so the flush needs
     /// no operator.
     pub fn outcome(&self) -> LanczosOutcome {
-        let mut t_coef = self.t_coef.clone();
-        let mut rho = self.rho.clone();
-        let mut queue = self.queue.clone();
+        let basis = &self.basis;
+        let mut pending = self.pending.clone();
         let mut iter_count = self.iter_count;
-        let mut ws = Workspace::new(self.big_n, self.opts.max_cluster);
-        debug_assert_eq!(self.gen_upto, self.vectors.len());
+        let mut ws = Workspace::new(self.big_n);
+        debug_assert_eq!(self.gen_upto, basis.vectors.len());
 
         // --- Flush: only the coefficients matter; each remainder is the
         // Lanczos truncation residual and is dropped.
-        while let Some(mut cand) = queue.pop_front() {
+        while pending.next(basis, &mut ws).is_some() {
             iter_count += 1;
-            orthogonalize_candidate(
-                &self.opts,
-                &self.j_diag,
-                self.identity_j,
-                self.p,
-                &self.vectors,
-                &self.closed,
-                &self.closed_delta_lu,
-                &self.open,
-                &mut ws,
-                &mut cand,
-                &mut t_coef,
-                &mut rho,
-            );
-            ws.pool.push(cand.w);
         }
 
         // --- Truncate to the last closed cluster so Δ is invertible.
-        let n: usize = self.closed.iter().map(|c| c.len()).sum();
+        let n = self.closed_count();
         if mpvl_obs::enabled() {
             mpvl_obs::counter_add("lanczos", "iterations", iter_count as u64);
             mpvl_obs::counter_add("lanczos", "accepted_vectors", n as u64);
@@ -711,19 +813,16 @@ impl BlockLanczos {
             }
         }
         let mut v = Mat::zeros(self.big_n, n);
-        for (k, vec) in self.vectors.iter().take(n).enumerate() {
+        for (k, vec) in basis.vectors.iter().take(n).enumerate() {
             v.col_mut(k).copy_from_slice(vec);
         }
-        let t = t_coef.submatrix(0, n, 0, n);
-        let rho_out = rho.submatrix(0, n, 0, self.p);
+        let t = pending.t_coef.submatrix(0, n, 0, n);
+        let rho_out = pending.rho.submatrix(0, n, 0, basis.p);
         let mut delta = Mat::zeros(n, n);
-        for (k, cluster) in self.closed.iter().enumerate() {
-            let d = &self.closed_delta[k];
+        for (cluster, d) in basis.closed.iter().zip(&basis.closed_delta) {
             for (a, &ia) in cluster.iter().enumerate() {
                 for (b, &ib) in cluster.iter().enumerate() {
-                    if ia < n && ib < n {
-                        delta[(ia, ib)] = d[(a, b)];
-                    }
+                    delta[(ia, ib)] = d[(a, b)];
                 }
             }
         }
@@ -734,7 +833,7 @@ impl BlockLanczos {
             rho: rho_out,
             p1: self.p1,
             deflation_steps: self.deflation_steps.clone(),
-            clusters: self.closed.clone(),
+            clusters: basis.closed.clone(),
             exhausted: self.exhausted,
             forced_cluster_closes: self.forced_cluster_closes,
         }
@@ -1061,6 +1160,72 @@ mod tests {
             assert_bits_eq(&mid.t, &scratch_mid.t, "T mid vs scratch@4");
             assert_bits_eq(&mid.delta, &scratch_mid.delta, "Delta mid vs scratch@4");
             assert_bits_eq(&mid.rho, &scratch_mid.rho, "rho mid vs scratch@4");
+        }
+    }
+
+    /// Resumes at 13, 29 and 40 with an 8-column start block (blocks of
+    /// 8 candidates, so every stop cuts a block and its sub-block
+    /// mid-way) must give the bits of from-scratch runs at those orders.
+    #[test]
+    fn resumes_cutting_blocks_match_scratch_runs() {
+        let n = 60;
+        let a = spd_test_matrix(n);
+        // LCG fill: eight independent columns.
+        let mut seed = 7u64;
+        let start = Mat::from_fn(n, 8, |_, _| {
+            seed = seed.wrapping_mul(6364136223846793005).wrapping_add(1);
+            ((seed >> 33) as f64) / (u32::MAX as f64) - 0.5
+        });
+        let mut deflating = start.clone();
+        for i in 0..n {
+            deflating[(i, 7)] = start[(i, 0)] - 2.0 * start[(i, 3)];
+        }
+        let signed: Vec<f64> = (0..n)
+            .map(|i| if i % 3 == 1 { -1.0 } else { 1.0 })
+            .collect();
+        let look_ahead = LanczosOptions {
+            cluster_tol: 0.05,
+            ..LanczosOptions::default()
+        };
+        let cases = [
+            ("J = I", vec![1.0; n], &start, LanczosOptions::default()),
+            ("indefinite J", signed, &start, look_ahead),
+            (
+                "deflating column",
+                vec![1.0; n],
+                &deflating,
+                LanczosOptions::default(),
+            ),
+        ];
+        for (name, j, start, opts) in &cases {
+            let mut state = BlockLanczos::new(j, start, opts);
+            for target in [13, 29, 40] {
+                state.run(&a, target);
+                let resumed = state.outcome();
+                let scratch = block_lanczos(&a, j, start, target, opts);
+                let what = format!("{name} at {target}");
+                assert_bits_eq(&resumed.t, &scratch.t, &format!("T, {what}"));
+                assert_bits_eq(&resumed.delta, &scratch.delta, &format!("Delta, {what}"));
+                assert_bits_eq(&resumed.rho, &scratch.rho, &format!("rho, {what}"));
+                assert_bits_eq(&resumed.v, &scratch.v, &format!("V, {what}"));
+                assert_eq!(resumed.p1, scratch.p1, "{what}");
+                assert_eq!(resumed.clusters, scratch.clusters, "{what}");
+                assert_eq!(resumed.deflation_steps, scratch.deflation_steps, "{what}");
+                assert_eq!(resumed.exhausted, scratch.exhausted, "{what}");
+            }
+            let out = state.outcome();
+            match *name {
+                "indefinite J" => assert!(
+                    out.clusters.iter().any(|c| c.len() >= 2),
+                    "no look-ahead cluster: {:?}",
+                    out.clusters
+                ),
+                "deflating column" => {
+                    assert_eq!(out.p1, 7);
+                    assert!(!out.deflation_steps.is_empty());
+                }
+                _ => assert!(out.clusters.iter().all(|c| c.len() == 1)),
+            }
         }
     }
 

@@ -1,13 +1,15 @@
 //! Property-based tests for the core reduction machinery: Lanczos
 //! invariants, model-persistence round trips, and evaluation identities.
 
-use mpvl_circuit::generators::random_rc;
+use mpvl_circuit::generators::{random_lc, random_rc, random_rl};
 use mpvl_circuit::MnaSystem;
 use mpvl_la::{Complex64, Mat};
 use mpvl_par::with_threads;
 use mpvl_testkit::prop::check;
 use mpvl_testkit::{prop_assert, prop_assert_eq};
-use sympvl::{read_model, sympvl, write_model, GFactor, SympvlOptions};
+use sympvl::{
+    certify, exact_moments, read_model, sympvl, write_model, Certificate, GFactor, SympvlOptions,
+};
 
 #[test]
 fn io_roundtrip_is_lossless() {
@@ -175,6 +177,63 @@ fn achieved_order_never_exceeds_request_or_dimension() {
             let model = sympvl(&sys, order, &SympvlOptions::default()).unwrap();
             prop_assert!(model.order() <= order.min(sys.dim()));
             prop_assert!(model.order() >= 1);
+            Ok(())
+        },
+    );
+}
+
+/// One of the `J = I` generators (RC, RL, LC), picked by `kind`.
+fn random_passive(kind: u64, seed: u64, nodes: usize, ports: usize) -> MnaSystem {
+    let ckt = match kind {
+        0 => random_rc(seed, nodes, ports),
+        1 => random_rl(seed, nodes, ports),
+        _ => random_lc(seed, nodes, ports),
+    };
+    MnaSystem::assemble(&ckt).expect("valid circuit")
+}
+
+#[test]
+fn certificate_holds_at_every_order() {
+    // §5: with J = I, Tₙ ⪰ 0 at every order, so every model certifies
+    // as stable and passive, up to the full dimension.
+    check(
+        "certificate_holds_at_every_order",
+        16,
+        (0u64..3, 0u64..1000, 1usize..4),
+        |&(kind, seed, ports)| {
+            let sys = random_passive(kind, seed, 7, ports);
+            for order in 1..=sys.dim() {
+                let model = sympvl(&sys, order, &SympvlOptions::default()).unwrap();
+                match certify(&model, 1e-9).unwrap() {
+                    Certificate::ProvablyPassive { .. } => {}
+                    other => return Err(format!("order {order}: {other:?}")),
+                }
+            }
+            Ok(())
+        },
+    );
+}
+
+#[test]
+fn matched_moments_equal_exact_moments() {
+    // §3: without deflation the order-n model matches q(n) = 2⌊n/p⌋
+    // matrix moments about the expansion point.
+    check(
+        "matched_moments_equal_exact_moments",
+        24,
+        (0u64..3, 0u64..1000, (1usize..4, 1usize..13)),
+        |&(kind, seed, (ports, order))| {
+            let sys = random_passive(kind, seed, 10, ports);
+            let model = sympvl(&sys, order, &SympvlOptions::default()).unwrap();
+            if model.deflation_count() > 0 {
+                return Ok(());
+            }
+            let q = model.matched_moments();
+            let exact = exact_moments(&sys, model.shift(), q).unwrap();
+            for (k, ek) in exact.iter().enumerate() {
+                let err = (&model.moment(k) - ek).max_abs() / ek.max_abs().max(1e-300);
+                prop_assert!(err < 1e-6, "moment {k} of {q}: relative error {err:.3e}");
+            }
             Ok(())
         },
     );

@@ -38,6 +38,7 @@
 // iterator rewrites obscure the math they mirror.
 #![allow(clippy::needless_range_loop)]
 
+mod blockops;
 mod cholesky;
 mod complex;
 mod eig;
@@ -48,6 +49,7 @@ mod qr;
 mod scalar;
 mod vecops;
 
+pub use blockops::{block_dot, block_sub, PANEL_ROWS};
 pub use cholesky::Cholesky;
 pub use complex::Complex64;
 pub use eig::{

@@ -213,3 +213,100 @@ fn complex_lu_roundtrip() {
         },
     );
 }
+
+/// `cols` columns of `n` entries in [-1, 1) (some exact zeros and
+/// `-0.0`), seeded.
+fn columns(seed: u64, n: usize, cols: usize) -> Vec<Vec<f64>> {
+    let mut rng = mpvl_testkit::SmallRng::seed_from_u64(seed);
+    (0..cols)
+        .map(|_| {
+            (0..n)
+                .map(|_| match rng.gen_range(0u64..16) {
+                    0 => 0.0,
+                    1 => -0.0,
+                    _ => rng.gen_range(-1.0f64..1.0),
+                })
+                .collect()
+        })
+        .collect()
+}
+
+/// Both block kernels on `n` rows: each column's bits are independent
+/// of the batch width and position, `block_sub` has the bits of
+/// successive `axpy` calls, and `block_dot` agrees with `dot`.
+fn check_block_kernels(n: usize, seed: u64) -> Result<(), String> {
+    let (k, m) = (9, 17);
+    let v = columns(seed, n, k);
+    let w = columns(seed ^ 0x5eed, n, m);
+    let mut c = vec![0.0; k * m];
+    mpvl_la::block_dot(&v, &w, &mut c);
+    // Every entry is close to the naive dot product.
+    for j in 0..m {
+        for i in 0..k {
+            let naive = mpvl_la::dot(&v[i], &w[j]);
+            let scale = mpvl_la::norm2(&v[i]) * mpvl_la::norm2(&w[j]);
+            prop_assert!((c[i + j * k] - naive).abs() <= 1e-13 * scale);
+        }
+    }
+    // Any split of V and W into batches (widths 1..=17, so each
+    // column also lands at every position) gives the same bits.
+    for width in 1..=m {
+        for lo in (0..m).step_by(width) {
+            let hi = (lo + width).min(m);
+            for vlo in (0..k).step_by(width) {
+                let vhi = (vlo + width).min(k);
+                let kb = vhi - vlo;
+                let mut cb = vec![0.0; kb * (hi - lo)];
+                mpvl_la::block_dot(&v[vlo..vhi], &w[lo..hi], &mut cb);
+                for j in lo..hi {
+                    for i in vlo..vhi {
+                        prop_assert_eq!(
+                            cb[(i - vlo) + (j - lo) * kb].to_bits(),
+                            c[i + j * k].to_bits()
+                        );
+                    }
+                }
+            }
+        }
+    }
+    // W −= V·C has the bits of successive axpy calls, for every
+    // batch width.
+    let coef: Vec<f64> = c.iter().map(|x| x * 0.37 - 0.1).collect();
+    let mut want = w.clone();
+    for (j, wj) in want.iter_mut().enumerate() {
+        for (i, vi) in v.iter().enumerate() {
+            mpvl_la::axpy(-coef[i + j * k], vi, wj);
+        }
+    }
+    for width in 1..=m {
+        let mut got = w.clone();
+        for lo in (0..m).step_by(width) {
+            let hi = (lo + width).min(m);
+            mpvl_la::block_sub(&v, &coef[lo * k..hi * k], &mut got[lo..hi]);
+        }
+        for (g, e) in got.iter().zip(&want) {
+            for (x, y) in g.iter().zip(e) {
+                prop_assert_eq!(x.to_bits(), y.to_bits());
+            }
+        }
+    }
+    Ok(())
+}
+
+#[test]
+fn block_kernels_are_columnwise_and_agree_with_dot_axpy() {
+    check(
+        "block_kernels_are_columnwise_and_agree_with_dot_axpy",
+        24,
+        (1usize..700, 0u64..1 << 32),
+        |&(n, seed)| check_block_kernels(n, seed),
+    );
+}
+
+#[test]
+fn block_kernels_at_panel_and_lane_edges() {
+    let p = mpvl_la::PANEL_ROWS;
+    for n in [1, 2, 3, p - 1, p, p + 1, 2 * p - 1, 2 * p + 3] {
+        check_block_kernels(n, n as u64).unwrap_or_else(|e| panic!("n = {n}: {e}"));
+    }
+}

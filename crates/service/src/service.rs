@@ -257,6 +257,14 @@ impl ServiceRequest {
     }
 }
 
+/// Revision of the Lanczos arithmetic behind Padé and multi-point
+/// models. Raise it whenever the same inputs start producing different
+/// bits, so registry entries written by an older build miss (and are
+/// rewritten) instead of breaking the [`ServiceOutcome::registry_hit`]
+/// promise that a hit returns the bits a fresh reduction would.
+/// Revision 2: block classical Gram–Schmidt re-orthogonalization.
+const LANCZOS_NUMERICS: u32 = 2;
+
 /// The exact reduction identity, canonicalized: everything that can
 /// change a model's bits, nothing that cannot. Floats by bit pattern —
 /// "nearly the same" options must not share a model. The three
@@ -360,6 +368,7 @@ fn canonical_reduction(spec: &ReduceSpec) -> String {
         l.full_reorth,
         l.max_cluster
     ));
+    s.push_str(&format!("numerics {LANCZOS_NUMERICS}\n"));
     s
 }
 

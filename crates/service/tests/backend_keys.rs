@@ -204,3 +204,23 @@ fn mixed_backend_batch_resolves_each_member_under_its_own_key() {
         assert_eq!(sympvl::write_model(&c.model), sympvl::write_model(&w.model));
     }
 }
+
+/// The registry address of one Padé and one balanced request, pinned.
+/// The Padé key carries the Lanczos numerics revision, so `.rom` files
+/// written before a change of the Lanczos bits miss instead of being
+/// served as if a fresh reduction had produced them; balanced
+/// truncation runs no Lanczos process and keeps its key.
+#[test]
+fn registry_keys_are_pinned() {
+    let netlist = ladder(30);
+    let pade = ServiceRequest::from_spec(&netlist, pade_spec()).unwrap();
+    let bt = ServiceRequest::from_spec(&netlist, bt_spec()).unwrap();
+    assert_eq!(
+        pade.registry_key(),
+        "496ec55f2ac566105b774ac2114f79830e8307acbf1e434a3d73aa64d5685f3a"
+    );
+    assert_eq!(
+        bt.registry_key(),
+        "99da47f7ed88b0a1e3c2d3b937438e10fdcc6272e4b1d3032b1e511f3112cd1b"
+    );
+}

@@ -84,7 +84,7 @@ MPVL_THREADS=2 cargo test -q --offline -p sympvl --test golden_bitident
 MPVL_THREADS=4 cargo test -q --offline -p sympvl --test golden_bitident
 
 smoke_bench bench_lanczos sympvl_order/8 sympvl_order/64 sympvl_size sympvl_reorth/full \
-    sympvl_reorth/banded krylov_apply/columns64 krylov_apply/block64
+    sympvl_reorth/banded krylov_apply/columns64 krylov_apply/block64 reorth/grid201_p64
 
 smoke_bench bench_engine session_rc/cold session_rc/warm session_rlc/cold \
     session_rlc/warm ac_sweep/cold ac_sweep/warm
