@@ -7,9 +7,7 @@
 use mpvl_bench::rc_grid;
 use mpvl_circuit::generators::{interconnect, InterconnectParams};
 use mpvl_circuit::MnaSystem;
-use mpvl_sparse::{
-    min_degree, quotient_min_degree, NumericLdlt, Ordering, SparseLdlt, SymbolicLdlt,
-};
+use mpvl_sparse::{min_degree, quotient_min_degree, NumericLdlt, Ordering, SymbolicLdlt};
 use mpvl_testkit::bench::Bench;
 use std::sync::Arc;
 
@@ -35,12 +33,12 @@ fn main() {
 
     for (n, k) in systems() {
         bench.bench(&format!("ldlt_factor/{n}"), || {
-            SparseLdlt::factor(&k, Ordering::MinDegree).expect("factor");
+            NumericLdlt::factor(&k, Ordering::MinDegree).expect("factor");
         });
     }
 
     for (n, k) in systems() {
-        let f = SparseLdlt::factor(&k, Ordering::MinDegree).expect("factor");
+        let f = NumericLdlt::factor(&k, Ordering::MinDegree).expect("factor");
         let rhs: Vec<f64> = (0..n).map(|i| (i as f64 * 0.37).sin()).collect();
         bench.bench(&format!("ldlt_solve/{n}"), || {
             f.solve(&rhs);
@@ -81,11 +79,11 @@ fn main() {
         ("mindegree", Ordering::MinDegree),
     ] {
         bench.bench(&format!("ldlt_ordering/{name}"), || {
-            SparseLdlt::factor(&k, o).expect("factor");
+            NumericLdlt::factor(&k, o).expect("factor");
         });
     }
     bench.bench("ldlt_ordering/quotient_md", || {
-        SparseLdlt::factor_with_perm(&k, quotient_min_degree(&k.adjacency())).expect("factor");
+        NumericLdlt::factor_with_perm(&k, quotient_min_degree(&k.adjacency())).expect("factor");
     });
     // 40,401 unknowns: `MinDegree` takes the quotient path here, and
     // `explicit_md_grid` times the explicit form it replaced.
@@ -93,10 +91,10 @@ fn main() {
     let grid = grid.g.add_scaled(1.0, &grid.c, 1e9);
     let n = grid.nrows();
     bench.bench(&format!("ldlt_ordering/mindegree_grid/{n}"), || {
-        SparseLdlt::factor(&grid, Ordering::MinDegree).expect("factor");
+        NumericLdlt::factor(&grid, Ordering::MinDegree).expect("factor");
     });
     bench.bench(&format!("ldlt_ordering/explicit_md_grid/{n}"), || {
-        SparseLdlt::factor_with_perm(&grid, min_degree(&grid.adjacency())).expect("factor");
+        NumericLdlt::factor_with_perm(&grid, min_degree(&grid.adjacency())).expect("factor");
     });
 
     bench.finish();

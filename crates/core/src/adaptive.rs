@@ -46,7 +46,7 @@ pub struct AdaptiveOptions {
     pub max_order: usize,
     /// Frequencies (Hz) at which agreement is measured.
     pub probe_freqs_hz: Vec<f64>,
-    /// Reduction options passed through to [`sympvl`].
+    /// Reduction options passed through to [`sympvl`](fn@crate::sympvl).
     pub sympvl: SympvlOptions,
 }
 
@@ -192,7 +192,7 @@ pub struct AdaptiveOutcome {
 ///
 /// # Errors
 ///
-/// Propagates [`sympvl`] and evaluation failures.
+/// Propagates [`sympvl`](fn@crate::sympvl) and evaluation failures.
 ///
 /// # Examples
 ///

@@ -82,7 +82,7 @@ use crate::multipoint::{assemble_merged, expansion_shift};
 use crate::reduce::{factor_target, FactorTarget};
 use crate::{GFactor, KrylovOperator, LinearOperator, ReducedModel, SympvlError};
 use mpvl_circuit::MnaSystem;
-use mpvl_la::{axpy, dot, norm2, scal, sym_eigen, Mat};
+use mpvl_la::{norm2, orthonormalize_into, sym_eigen, Mat};
 use mpvl_sparse::CscMat;
 
 /// Relative eigenvalue threshold below which a direction of `VᵀAV` is
@@ -451,15 +451,16 @@ where
     let mut basis: Vec<Vec<f64>> = Vec::new();
     let mut abasis: Vec<Vec<f64>> = Vec::new();
 
-    let seeded = orthonormalize_into(&mut basis, &r, opts.basis_tol, cap);
+    orthonormalize_into(&mut basis, &r, opts.basis_tol, cap);
     if basis.is_empty() {
         return Err(SympvlError::InvalidOptions {
             reason: "port incidence matrix is numerically zero".into(),
         });
     }
     extend_abasis(&a_op, &basis, &mut abasis, n);
-    let mut fwd = seeded.clone();
-    let mut inv = seeded;
+    // The basis starts empty, so all of it is the seeded port block.
+    let mut fwd = basis.clone();
+    let mut inv = basis.clone();
 
     let mut prev: Option<Candidate> = None;
     let mut iterations = 0usize;
@@ -543,42 +544,6 @@ fn spectrum_drift(cur: &[f64], last: &[f64]) -> f64 {
     worst
 }
 
-/// Two-pass block MGS of `cand`'s columns against (and into) `basis`,
-/// with the same relative drop rule as
-/// [`mpvl_la::orthonormalize_columns`]. Returns the accepted, normalized
-/// columns (which now also live at the tail of `basis`).
-fn orthonormalize_into(
-    basis: &mut Vec<Vec<f64>>,
-    cand: &Mat<f64>,
-    tol: f64,
-    cap: usize,
-) -> Vec<Vec<f64>> {
-    let mut accepted = Vec::new();
-    for j in 0..cand.ncols() {
-        if basis.len() >= cap {
-            break;
-        }
-        let mut v = cand.col(j).to_vec();
-        let orig = norm2(&v);
-        if !(orig > 0.0) || !orig.is_finite() {
-            continue;
-        }
-        for _ in 0..2 {
-            for b in basis.iter() {
-                let c = dot(b, &v);
-                axpy(-c, b, &mut v);
-            }
-        }
-        let rem = norm2(&v);
-        if rem > tol * orig {
-            scal(1.0 / rem, &mut v);
-            basis.push(v.clone());
-            accepted.push(v);
-        }
-    }
-    accepted
-}
-
 /// Applies `A` to every basis column not yet mirrored in `abasis`.
 fn extend_abasis(
     a_op: &KrylovOperator<'_>,
@@ -641,13 +606,15 @@ fn grow(
         let block = cols_to_mat(fwd, n);
         let mut out = Mat::zeros(n, block.ncols());
         a_op.apply_block(&block, &mut out);
-        *fwd = orthonormalize_into(basis, &out, tol, cap);
+        let added = orthonormalize_into(basis, &out, tol, cap);
+        *fwd = basis[basis.len() - added..].to_vec();
     }
     if let Some(f_inv) = f_inv {
         if !inv.is_empty() {
             let block = cols_to_mat(inv, n);
             let out = apply_w(f_ref, f_inv, k_ref_mat, &block);
-            *inv = orthonormalize_into(basis, &out, tol, cap);
+            let added = orthonormalize_into(basis, &out, tol, cap);
+            *inv = basis[basis.len() - added..].to_vec();
         }
     } else {
         inv.clear();

@@ -8,7 +8,7 @@
 
 use crate::SympvlError;
 use mpvl_la::{BunchKaufman, Mat, MjFactor};
-use mpvl_sparse::{CscMat, Ordering, SparseLdlt, ROW_SOLVE_WIDTH};
+use mpvl_sparse::{CscMat, NumericLdlt, Ordering, ROW_SOLVE_WIDTH};
 
 /// A factorization of a symmetric matrix `G` as `M J Mᵀ` with
 /// `J = diag(±1)`, exposing the operations the Lanczos process needs:
@@ -18,7 +18,7 @@ pub enum GFactor {
     /// Sparse LDLᵀ path (possibly indefinite diagonal).
     Sparse {
         /// The factorization itself.
-        fac: SparseLdlt<f64>,
+        fac: NumericLdlt<f64>,
         /// `√|dᵢ|` scaling.
         sqrt_d: Vec<f64>,
         /// Signature `sign(dᵢ)`.
@@ -37,7 +37,7 @@ impl GFactor {
     /// the dense Bunch–Kaufman factorization fail (singular `G`; apply a
     /// frequency shift per eq. 26 and retry).
     pub fn factor(g: &CscMat<f64>) -> Result<Self, SympvlError> {
-        match SparseLdlt::factor(g, Ordering::MinDegree) {
+        match NumericLdlt::factor(g, Ordering::MinDegree) {
             Ok(fac) => {
                 let sqrt_d: Vec<f64> = fac.d().iter().map(|&v| v.abs().sqrt()).collect();
                 let j_sign: Vec<f64> = fac.d().iter().map(|&v| v.signum()).collect();

@@ -121,7 +121,7 @@ impl SympvlOptions {
 ///
 /// Pipeline (paper §4): factor `G + s₀C = M J Mᵀ` ([`GFactor`]), run the
 /// symmetric block-Lanczos process on `A = M⁻¹CM⁻ᵀ` with starting block
-/// `M⁻¹B` ([`block_lanczos`]), and package `(Δₙ, Tₙ, ρₙ)` as a
+/// `M⁻¹B` ([`block_lanczos`](crate::block_lanczos)), and package `(Δₙ, Tₙ, ρₙ)` as a
 /// [`ReducedModel`]. The achieved order can be lower than requested when
 /// deflation exhausts the Krylov space (then the model is *exact*) or when
 /// the trailing look-ahead cluster cannot be closed.

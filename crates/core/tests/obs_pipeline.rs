@@ -13,7 +13,8 @@ use mpvl_circuit::generators::rc_ladder;
 use mpvl_circuit::MnaSystem;
 use mpvl_par::with_threads;
 use mpvl_sim::{ac_sweep, log_space};
-use sympvl::{sympvl, SympvlOptions};
+use mpvl_sparse::{CscMat, TripletMat};
+use sympvl::{sympvl, GFactor, SympvlOptions};
 
 fn ladder_system() -> MnaSystem {
     MnaSystem::assemble(&rc_ladder(64, 10.0, 1e-12)).expect("assemble")
@@ -85,4 +86,43 @@ fn exported_events_are_identical_across_thread_counts() {
     assert!(!lines1.is_empty());
     assert_eq!(lines1, lines4);
     mpvl_obs::validate_json_lines(&lines1).expect("valid JSON lines");
+}
+
+#[test]
+fn gfactor_counters_are_pinned() {
+    // perfbench's traced run checks the program's counters against its
+    // own replay of `GFactor::factor`: one symbolic analysis and one
+    // numeric pass per factor, whether the sparse pass succeeds, breaks
+    // down into the dense Bunch–Kaufman fallback, or fails outright.
+    let counts = |g: &CscMat<f64>| {
+        let (f, cap) = mpvl_obs::capture(|| GFactor::factor(g));
+        let counts = ["symbolic_analyze", "numeric_refactor", "zero_pivots"]
+            .map(|name| cap.counter("ldlt", name));
+        (f, counts)
+    };
+
+    // The ladder's shifted G + s₀C: the sparse path, no breakdown.
+    let sys = ladder_system();
+    let (f, n) = counts(
+        &sys.g
+            .add_scaled(1.0, &sys.c, 2.0 * std::f64::consts::PI * 1e9),
+    );
+    assert!(matches!(f.expect("shifted ladder"), GFactor::Sparse { .. }));
+    assert_eq!(n, [1, 1, 0]);
+
+    // The saddle point of `factor.rs`'s dense-fallback unit test (zero
+    // diagonal at nodes 1 and 2): the sparse pass breaks down once.
+    let mut t = TripletMat::new(3, 3);
+    t.push_sym(0, 2, 1.0);
+    t.push_sym(1, 2, 1.0);
+    t.push(0, 0, 1.0);
+    let (f, n) = counts(&t.to_csc());
+    assert!(matches!(f.expect("dense fallback"), GFactor::Dense(_)));
+    assert_eq!(n, [1, 1, 1]);
+
+    // The ladder's unshifted G has no DC path to ground: both the sparse
+    // and the dense factorization fail, still after one of each pass.
+    let (f, n) = counts(&sys.g);
+    assert!(f.is_err(), "the ladder's G is singular");
+    assert_eq!(n, [1, 1, 1]);
 }

@@ -1,7 +1,7 @@
 //! Property-based tests for the core reduction machinery: Lanczos
 //! invariants, model-persistence round trips, and evaluation identities.
 
-use mpvl_circuit::generators::{random_lc, random_rc, random_rl};
+use mpvl_circuit::generators::{package, random_lc, random_rc, random_rl, PackageParams};
 use mpvl_circuit::MnaSystem;
 use mpvl_la::{Complex64, Mat};
 use mpvl_par::with_threads;
@@ -233,6 +233,65 @@ fn matched_moments_equal_exact_moments() {
             for (k, ek) in exact.iter().enumerate() {
                 let err = (&model.moment(k) - ek).max_abs() / ek.max_abs().max(1e-300);
                 prop_assert!(err < 1e-6, "moment {k} of {q}: relative error {err:.3e}");
+            }
+            Ok(())
+        },
+    );
+}
+
+#[test]
+fn gfactor_is_an_mjm_factorization_of_g() {
+    // Eq. (15): the sparse factor the reduction runs on is G = M J Mᵀ,
+    // so M⁻¹ G M⁻ᵀ = J entrywise and M⁻ᵀ J M⁻¹ b = G⁻¹ b, the solve
+    // of the underlying LDLᵀ. Kinds 0–2 are the J = I generators'
+    // unshifted G; kind 3 is a general-RLC package shifted per eq. (26),
+    // which factors with an indefinite J.
+    check(
+        "gfactor_is_an_mjm_factorization_of_g",
+        24,
+        (0u64..4, 0u64..1000, 1usize..4),
+        |&(kind, seed, ports)| {
+            let g = if kind < 3 {
+                random_passive(kind, seed, 9, ports).g
+            } else {
+                let ckt = package(&PackageParams {
+                    pins: 2 + (seed % 4) as usize,
+                    signal_pins: vec![0],
+                    sections: ports,
+                    ..PackageParams::default()
+                });
+                let sys = MnaSystem::assemble_general(&ckt).expect("valid circuit");
+                sys.g
+                    .add_scaled(1.0, &sys.c, 2.0 * std::f64::consts::PI * 5e8)
+            };
+            let factor = GFactor::factor(&g).map_err(|e| e.to_string())?;
+            let GFactor::Sparse { fac, .. } = &factor else {
+                return Err("sparse LDLT fell back to the dense factor".into());
+            };
+            let n = g.nrows();
+            let j = factor.j_diag();
+            prop_assert!(kind < 3 || !factor.is_identity_j(), "package J = I");
+            for i in 0..n {
+                let mut e = vec![0.0; n];
+                e[i] = 1.0;
+                let col = factor.apply_minv(&g.matvec(&factor.apply_minv_t(&e)));
+                for (k, &v) in col.iter().enumerate() {
+                    let expect = if k == i { j[i] } else { 0.0 };
+                    prop_assert!((v - expect).abs() < 1e-9, "({k},{i}): {v} vs {expect}");
+                }
+            }
+            let b: Vec<f64> = (0..n)
+                .map(|i| (((seed as usize + i * 29) % 83) as f64 * 0.043).sin())
+                .collect();
+            let mut y = factor.apply_minv(&b);
+            for (v, s) in y.iter_mut().zip(&j) {
+                *v *= s;
+            }
+            let x = factor.apply_minv_t(&y);
+            let x_ref = fac.solve(&b);
+            let scale = x_ref.iter().fold(0.0f64, |m, v| m.max(v.abs()));
+            for (u, v) in x.iter().zip(&x_ref) {
+                prop_assert!((u - v).abs() <= 1e-9 * scale, "{u} vs {v}");
             }
             Ok(())
         },

@@ -10,7 +10,8 @@
 //! * [`Cholesky`] — SPD factorization (the paper's `J = I` branch).
 //! * [`BunchKaufman`] / [`MjFactor`] — symmetric-indefinite LDLᵀ and the
 //!   paper's `G = M J Mᵀ` form (eq. 15) with `J = diag(±1)`.
-//! * [`Qr`] — Householder QR, plus [`orthonormalize_columns`].
+//! * [`Qr`] — Householder QR, plus [`orthonormalize_columns`] and its
+//!   appending form [`orthonormalize_into`].
 //! * [`sym_eigen`] / [`general_eigenvalues`] / [`general_eigen`] —
 //!   eigensolvers for the stability/passivity certificates, pole
 //!   computation, and pole–residue evaluation-plan compilation.
@@ -58,6 +59,6 @@ pub use eig::{
 pub use ldlt::{BunchKaufman, MjFactor, PivotBlock};
 pub use lu::{solve_dense, Lu, SingularMatrixError};
 pub use mat::Mat;
-pub use qr::{orthonormalize_columns, Qr};
+pub use qr::{orthonormalize_columns, orthonormalize_into, Qr};
 pub use scalar::Scalar;
 pub use vecops::{axpy, dot, dotc, max_abs, norm2, scal};

@@ -152,16 +152,38 @@ impl Qr {
 /// re-orthogonalization), dropping columns whose remainder falls below
 /// `tol` times their original norm. Returns the kept orthonormal basis.
 pub fn orthonormalize_columns(a: &Mat<f64>, tol: f64) -> Mat<f64> {
-    let m = a.nrows();
-    let mut basis: Vec<Vec<f64>> = Vec::new();
-    for j in 0..a.ncols() {
-        let mut v = a.col(j).to_vec();
+    let mut basis = Vec::new();
+    orthonormalize_into(&mut basis, a, tol, usize::MAX);
+    let mut q = Mat::zeros(a.nrows(), basis.len());
+    for (j, b) in basis.iter().enumerate() {
+        q.col_mut(j).copy_from_slice(b);
+    }
+    q
+}
+
+/// Two-pass modified Gram–Schmidt of `cand`'s columns against, and onto
+/// the end of, the orthonormal `basis`, stopping once `basis` holds `cap`
+/// columns. A column whose norm is zero or not finite is skipped; one
+/// whose remainder falls below `tol` times its original norm is dropped.
+/// Returns how many columns were appended.
+pub fn orthonormalize_into(
+    basis: &mut Vec<Vec<f64>>,
+    cand: &Mat<f64>,
+    tol: f64,
+    cap: usize,
+) -> usize {
+    let start = basis.len();
+    for j in 0..cand.ncols() {
+        if basis.len() >= cap {
+            break;
+        }
+        let mut v = cand.col(j).to_vec();
         let orig = crate::norm2(&v);
-        if orig == 0.0 {
+        if orig == 0.0 || !orig.is_finite() {
             continue;
         }
         for _pass in 0..2 {
-            for b in &basis {
+            for b in basis.iter() {
                 let c = crate::dot(b, &v);
                 crate::axpy(-c, b, &mut v);
             }
@@ -172,11 +194,7 @@ pub fn orthonormalize_columns(a: &Mat<f64>, tol: f64) -> Mat<f64> {
             basis.push(v);
         }
     }
-    let mut q = Mat::zeros(m, basis.len());
-    for (j, b) in basis.iter().enumerate() {
-        q.col_mut(j).copy_from_slice(b);
-    }
-    q
+    basis.len() - start
 }
 
 #[cfg(test)]

@@ -4,8 +4,9 @@
 //! grep gate enforces this) so that diagnostics flow through `mpvl-obs`
 //! and stay visible to one central policy. Harness-style crates whose
 //! *job* is console output — the testkit bench table, figure binaries'
-//! progress lines — route it through [`cprintln!`]/[`ceprintln!`] or the
-//! [`out_line`]/[`err_line`] functions here instead.
+//! progress lines — route it through [`cprintln!`](crate::cprintln)/
+//! [`ceprintln!`](crate::ceprintln) or the [`out_line`]/[`err_line`]
+//! functions here instead.
 
 use std::fmt;
 use std::io::Write as _;

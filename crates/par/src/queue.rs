@@ -55,7 +55,10 @@ struct State<T> {
 }
 
 /// A bounded MPMC queue with non-blocking producers and blocking
-/// consumers. See the [module docs](self) for the full contract.
+/// consumers: [`BoundedQueue::try_push`] rejects with a typed error when
+/// the queue is full or closed, and [`BoundedQueue::pop`] waits until an
+/// item arrives or the queue is closed and drained. Every lock
+/// acquisition recovers from poison.
 pub struct BoundedQueue<T> {
     capacity: usize,
     state: Mutex<State<T>>,

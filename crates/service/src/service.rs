@@ -168,7 +168,7 @@ impl ServiceRequest {
     /// Parses and validates `netlist`, deriving the canonical form and
     /// both content addresses, for any [`ReduceSpec`] backend. The
     /// three backends serialize to disjoint canonical leaders (see
-    /// [`canonical_reduction`]), so a Padé, a multi-point, and a
+    /// `canonical_reduction`), so a Padé, a multi-point, and a
     /// balanced-truncation model over the same netlist can never alias
     /// one registry address — even at identical orders and bands.
     ///

@@ -7,7 +7,7 @@
 
 use mpvl_circuit::MnaSystem;
 use mpvl_la::{Lu, Mat};
-use mpvl_sparse::{LdltError, Ordering, SparseLdlt};
+use mpvl_sparse::{LdltError, NumericLdlt, Ordering};
 use std::error::Error;
 use std::fmt;
 
@@ -15,14 +15,14 @@ use std::fmt;
 /// factors; dense pivoted LU otherwise (zero diagonal blocks from
 /// inductor-current unknowns, or nonsymmetric `G` from active elements).
 enum DcSolver {
-    Sparse(SparseLdlt<f64>),
+    Sparse(NumericLdlt<f64>),
     Dense(Lu<f64>),
 }
 
 impl DcSolver {
     fn build(sys: &MnaSystem) -> Result<Self, DcError> {
         if sys.is_symmetric() {
-            if let Ok(f) = SparseLdlt::factor(&sys.g, Ordering::MinDegree) {
+            if let Ok(f) = NumericLdlt::factor(&sys.g, Ordering::MinDegree) {
                 return Ok(DcSolver::Sparse(f));
             }
         }

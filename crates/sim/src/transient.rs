@@ -8,7 +8,7 @@
 use crate::Waveform;
 use mpvl_circuit::MnaSystem;
 use mpvl_la::Mat;
-use mpvl_sparse::{LdltError, Ordering, SparseLdlt};
+use mpvl_sparse::{LdltError, NumericLdlt, Ordering};
 use std::error::Error;
 use std::fmt;
 
@@ -145,7 +145,7 @@ pub fn transient(
     };
     let k = sys.g.add_scaled(1.0, &sys.c, alpha / h);
     enum Companion {
-        Sparse(SparseLdlt<f64>),
+        Sparse(NumericLdlt<f64>),
         /// Symmetric saddle-point fallback: `G + αC` with a structurally
         /// zero diagonal (e.g. an inductor-only internal node) defeats the
         /// unpivoted sparse LDLᵀ but factors fine with Bunch–Kaufman —
@@ -163,7 +163,7 @@ pub fn transient(
         }
     }
     let fac = if sys.is_symmetric() {
-        match SparseLdlt::factor(&k, Ordering::MinDegree) {
+        match NumericLdlt::factor(&k, Ordering::MinDegree) {
             Ok(f) => Companion::Sparse(f),
             Err(sparse_err) => {
                 mpvl_obs::counter_add("transient", "dense_fallbacks", 1);
@@ -365,7 +365,7 @@ mod tests {
         // Pin the premise: this companion really does defeat the sparse path.
         let k = sys.g.add_scaled(1.0, &sys.c, 2.0 / h);
         assert!(
-            SparseLdlt::factor(&k, Ordering::MinDegree).is_err(),
+            NumericLdlt::factor(&k, Ordering::MinDegree).is_err(),
             "regression premise: sparse LDLT must fail on this saddle point"
         );
         let res = transient(

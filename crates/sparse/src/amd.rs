@@ -226,7 +226,7 @@ fn signature(vars: &[usize], elems: &[usize]) -> u64 {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::{is_permutation, Ordering, SparseLdlt, TripletMat};
+    use crate::{is_permutation, NumericLdlt, Ordering, TripletMat};
 
     fn grid_graph(rows: usize, cols: usize) -> Vec<Vec<usize>> {
         let id = |r: usize, c: usize| r * cols + c;
@@ -276,7 +276,7 @@ mod tests {
         }
         let a = t.to_csc();
         let perm = quotient_min_degree(&a.adjacency());
-        let f = SparseLdlt::factor_with_perm(&a, perm).expect("SPD");
+        let f = NumericLdlt::factor_with_perm(&a, perm).expect("SPD");
         assert_eq!(f.l_nnz(), n - 1, "arrow should factor with zero fill");
     }
 
@@ -299,9 +299,9 @@ mod tests {
         }
         let a = t.to_csc();
         let quotient = quotient_min_degree(&adj);
-        let fq = SparseLdlt::factor_with_perm(&a, quotient).expect("SPD");
-        let fn_ = SparseLdlt::factor(&a, Ordering::Natural).expect("SPD");
-        let fm = SparseLdlt::factor(&a, Ordering::MinDegree).expect("SPD");
+        let fq = NumericLdlt::factor_with_perm(&a, quotient).expect("SPD");
+        let fn_ = NumericLdlt::factor(&a, Ordering::Natural).expect("SPD");
+        let fm = NumericLdlt::factor(&a, Ordering::MinDegree).expect("SPD");
         assert!(
             fq.l_nnz() <= fn_.l_nnz(),
             "quotient MD ({}) should beat natural ({})",
@@ -334,7 +334,7 @@ mod tests {
         }
         let a = t.to_csc();
         let perm = quotient_min_degree(&adj);
-        let f = SparseLdlt::factor_with_perm(&a, perm).expect("SPD");
+        let f = NumericLdlt::factor_with_perm(&a, perm).expect("SPD");
         let b: Vec<f64> = (0..n).map(|i| (i as f64 * 0.23).sin()).collect();
         let x = f.solve(&b);
         let r = a.matvec(&x);

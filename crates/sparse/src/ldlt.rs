@@ -23,12 +23,16 @@
 //! columns run serially afterwards — deterministic and bit-identical to
 //! the serial pass at every thread count by construction.
 //!
-//! The two passes are exposed both fused ([`SparseLdlt::factor`], the
-//! one-shot API) and split ([`SymbolicLdlt`] + [`NumericLdlt`]): when many
-//! matrices share one sparsity pattern — an AC sweep factoring `G + σ(s)C`
-//! per frequency — the symbolic work (ordering, permuted pattern, etree,
-//! column counts, supernodes, update plans) is paid once and each
-//! additional matrix costs only the numeric pass, with zero allocation.
+//! One type holds a factorization, [`NumericLdlt`]: the values of `L`
+//! and `D` plus the workspaces of the numeric pass, over a shared
+//! [`SymbolicLdlt`] that owns the ordering and the pattern of `L`. A
+//! one-off matrix goes through [`NumericLdlt::factor`] (symbolic and
+//! numeric pass in one call). When many matrices share one sparsity
+//! pattern — an AC sweep factoring `G + σ(s)C` per frequency — the
+//! symbolic work (ordering, permuted pattern, etree, column counts,
+//! supernodes, update plans) is paid once by [`SymbolicLdlt::analyze`]
+//! and each additional matrix costs only [`NumericLdlt::refactor`],
+//! with zero allocation.
 //!
 //! The factorization is *unpivoted*; a fill-reducing symmetric permutation
 //! is applied first. This is the right tool for the matrices this
@@ -201,8 +205,8 @@ macro_rules! dispatch_width {
     };
 }
 
-/// Widest block [`SparseLdlt::l_solve_rows`] and
-/// [`SparseLdlt::lt_solve_rows`] accept, and the column chunk the
+/// Widest block [`NumericLdlt::l_solve_rows`] and
+/// [`NumericLdlt::lt_solve_rows`] accept, and the column chunk the
 /// blocked `M⁻¹`/`M⁻ᵀ` appliers and the Lanczos successor generation
 /// stage through them. Measured on the 100,489-unknown RC grid's factor
 /// (2-vCPU Xeon VM, see `EXPERIMENTS.md`): 64 operator applies took
@@ -218,62 +222,6 @@ const _: () = assert!(
     ROW_SOLVE_WIDTH == 8,
     "dispatch_width! has one arm per width 1..=8"
 );
-
-/// Full permuted solve `A x = b` given the pieces `P, L, D`; writes the
-/// solution into `out` using `work` as the permuted-coordinate buffer.
-#[allow(clippy::too_many_arguments)]
-fn solve_permuted_into<T: Scalar>(
-    perm: &[usize],
-    colptr: &[usize],
-    rowidx: &[usize],
-    values: &[T],
-    d: &[T],
-    b: &[T],
-    work: &mut [T],
-    out: &mut [T],
-) {
-    let n = perm.len();
-    for i in 0..n {
-        work[i] = b[perm[i]];
-    }
-    l_solve_csc(colptr, rowidx, values, work);
-    for k in 0..n {
-        work[k] /= d[k];
-    }
-    lt_solve_csc(colptr, rowidx, values, work);
-    for i in 0..n {
-        out[perm[i]] = work[i];
-    }
-}
-
-/// Blocked multi-right-hand-side solve: every column of `b` through
-/// `P, L, D` with one shared workspace (no per-column allocation).
-fn solve_mat_permuted<T: Scalar>(
-    perm: &[usize],
-    colptr: &[usize],
-    rowidx: &[usize],
-    values: &[T],
-    d: &[T],
-    b: &Mat<T>,
-) -> Mat<T> {
-    let n = perm.len();
-    assert_eq!(b.nrows(), n, "dimension mismatch");
-    let mut out = Mat::zeros(n, b.ncols());
-    let mut work = vec![T::zero(); n];
-    for j in 0..b.ncols() {
-        solve_permuted_into(
-            perm,
-            colptr,
-            rowidx,
-            values,
-            d,
-            b.col(j),
-            &mut work,
-            out.col_mut(j),
-        );
-    }
-    out
-}
 
 /// One run of a target column's update plan: `width` consecutive update
 /// columns starting at `first`, all inside one supernode, with `rank`
@@ -863,10 +811,11 @@ struct TaskOut<T> {
     data: Vec<T>,
 }
 
-/// The numeric half of a split sparse LDLᵀ: values of `L` and `D` plus the
-/// preallocated workspaces of the supernodal up-looking factorization, all
-/// reusable across [`NumericLdlt::refactor`] calls against one
-/// [`SymbolicLdlt`].
+/// A sparse factorization `Pᵀ A P = L D Lᵀ` with diagonal `D`: values of
+/// `L` and `D` plus the preallocated workspaces of the supernodal
+/// up-looking factorization, all reusable across
+/// [`NumericLdlt::refactor`] calls against one shared [`SymbolicLdlt`].
+/// [`NumericLdlt::factor`] builds one from scratch.
 ///
 /// Each parallel worker owns one of these (sharing the `Arc`'d symbolic
 /// analysis), which is exactly the shape a fanned-out AC sweep needs.
@@ -908,16 +857,63 @@ impl<T: Scalar> NumericLdlt<T> {
         }
     }
 
-    /// One-shot convenience: workspaces plus a first [`refactor`].
+    /// Factors the symmetric matrix `a` as `Pᵀ A P = L D Lᵀ` after
+    /// applying the requested fill-reducing ordering. Only the upper
+    /// triangle (in permuted form) is read; the input should carry both
+    /// triangles.
     ///
-    /// [`refactor`]: NumericLdlt::refactor
+    /// This is the one-shot path: one symbolic analysis plus one numeric
+    /// pass, parallelized over etree subtrees on the process-wide
+    /// [`mpvl_par::thread_count`] workers (bit-identical to serial).
+    /// Callers factoring many matrices with one shared pattern should
+    /// [`SymbolicLdlt::analyze`] once and [`NumericLdlt::refactor`] per
+    /// matrix instead.
+    ///
+    /// # Examples
+    ///
+    /// ```
+    /// use mpvl_sparse::{TripletMat, NumericLdlt, Ordering};
+    /// # fn main() -> Result<(), Box<dyn std::error::Error>> {
+    /// let mut t = TripletMat::new(3, 3);
+    /// for i in 0..3 { t.push(i, i, 2.0); }
+    /// t.push_sym(0, 1, -1.0);
+    /// t.push_sym(1, 2, -1.0);
+    /// let a = t.to_csc();
+    /// let f = NumericLdlt::factor(&a, Ordering::MinDegree)?;
+    /// let x = f.solve(&[1.0, 0.0, 1.0]);
+    /// let r = a.matvec(&x);
+    /// assert!((r[0] - 1.0).abs() < 1e-12 && r[1].abs() < 1e-12);
+    /// # Ok(())
+    /// # }
+    /// ```
     ///
     /// # Errors
     ///
-    /// See [`NumericLdlt::refactor`].
-    pub fn factor(sym: &Arc<SymbolicLdlt>, a: &CscMat<T>) -> Result<Self, LdltError> {
-        let mut num = Self::new(Arc::clone(sym));
-        num.refactor(a)?;
+    /// * [`LdltError::NotSquare`] for rectangular input.
+    /// * [`LdltError::ZeroPivot`] when a pivot underflows the breakdown
+    ///   tolerance (`1e-13 · max|A|`); for RLC work this signals that a
+    ///   frequency shift is required (paper eq. 26).
+    pub fn factor(a: &CscMat<T>, ordering: Ordering) -> Result<Self, LdltError> {
+        Self::factor_symbolic(SymbolicLdlt::analyze(a, ordering)?, a)
+    }
+
+    /// [`NumericLdlt::factor`] with an explicit permutation
+    /// (`perm[new] = old`).
+    ///
+    /// # Errors
+    ///
+    /// See [`NumericLdlt::factor`].
+    ///
+    /// # Panics
+    ///
+    /// Panics if `perm` is not a permutation of `0..a.nrows()`.
+    pub fn factor_with_perm(a: &CscMat<T>, perm: Vec<usize>) -> Result<Self, LdltError> {
+        Self::factor_symbolic(SymbolicLdlt::analyze_with_perm(a, perm)?, a)
+    }
+
+    fn factor_symbolic(sym: SymbolicLdlt, a: &CscMat<T>) -> Result<Self, LdltError> {
+        let mut num = Self::new(Arc::new(sym));
+        num.refactor_with_threads(a, mpvl_par::thread_count())?;
         Ok(num)
     }
 
@@ -1203,6 +1199,16 @@ impl<T: Scalar> NumericLdlt<T> {
         self.sym.n
     }
 
+    /// Number of stored off-diagonal entries of `L` (the fill).
+    pub fn l_nnz(&self) -> usize {
+        self.sym.l_nnz()
+    }
+
+    /// The permutation used, `perm[new] = old`.
+    pub fn perm(&self) -> &[usize] {
+        &self.sym.perm
+    }
+
     /// `true` after a successful [`NumericLdlt::refactor`].
     pub fn is_factored(&self) -> bool {
         self.factored
@@ -1249,16 +1255,7 @@ impl<T: Scalar> NumericLdlt<T> {
         assert_eq!(b.len(), self.sym.n, "dimension mismatch");
         let mut work = vec![T::zero(); self.sym.n];
         let mut out = vec![T::zero(); self.sym.n];
-        solve_permuted_into(
-            &self.sym.perm,
-            &self.sym.l_colptr,
-            &self.sym.l_rowidx,
-            &self.l_values,
-            &self.d,
-            b,
-            &mut work,
-            &mut out,
-        );
+        self.solve_col_into(b, &mut work, &mut out);
         out
     }
 
@@ -1269,15 +1266,10 @@ impl<T: Scalar> NumericLdlt<T> {
     ///
     /// Panics unless factored, or if `b.nrows() != self.dim()`.
     pub fn solve_mat(&self, b: &Mat<T>) -> Mat<T> {
-        assert!(self.factored, "not factored");
-        solve_mat_permuted(
-            &self.sym.perm,
-            &self.sym.l_colptr,
-            &self.sym.l_rowidx,
-            &self.l_values,
-            &self.d,
-            b,
-        )
+        let mut work = vec![T::zero(); self.sym.n];
+        let mut out = Mat::zeros(self.sym.n, b.ncols());
+        self.solve_mat_into(b, &mut work, &mut out);
+        out
     }
 
     /// Allocation-free variant of [`NumericLdlt::solve_mat`]: writes the
@@ -1299,17 +1291,67 @@ impl<T: Scalar> NumericLdlt<T> {
         assert_eq!(out.ncols(), b.ncols(), "output column mismatch");
         assert_eq!(work.len(), n, "workspace length mismatch");
         for j in 0..b.ncols() {
-            solve_permuted_into(
-                &self.sym.perm,
-                &self.sym.l_colptr,
-                &self.sym.l_rowidx,
-                &self.l_values,
-                &self.d,
-                b.col(j),
-                work,
-                out.col_mut(j),
-            );
+            self.solve_col_into(b.col(j), work, out.col_mut(j));
         }
+    }
+
+    /// The one solve body: `x = P L⁻ᵀ D⁻¹ L⁻¹ Pᵀ b` into `out`, with `work`
+    /// holding the permuted coordinates (lengths already checked).
+    fn solve_col_into(&self, b: &[T], work: &mut [T], out: &mut [T]) {
+        let perm = &self.sym.perm;
+        for (w, &p) in work.iter_mut().zip(perm) {
+            *w = b[p];
+        }
+        self.l_solve(work);
+        for (w, &d) in work.iter_mut().zip(&self.d) {
+            *w /= d;
+        }
+        self.lt_solve(work);
+        for (&w, &p) in work.iter().zip(perm) {
+            out[p] = w;
+        }
+    }
+
+    /// In-place forward substitution `L x = b` (unit diagonal), in permuted
+    /// coordinates.
+    pub fn l_solve(&self, x: &mut [T]) {
+        let sym = &self.sym;
+        l_solve_csc(&sym.l_colptr, &sym.l_rowidx, &self.l_values, x);
+    }
+
+    /// In-place back substitution `Lᵀ x = b`, in permuted coordinates.
+    pub fn lt_solve(&self, x: &mut [T]) {
+        let sym = &self.sym;
+        lt_solve_csc(&sym.l_colptr, &sym.l_rowidx, &self.l_values, x);
+    }
+
+    /// [`NumericLdlt::l_solve`] on `w` right-hand sides at once, stored
+    /// row-interleaved: entry `(i, c)` at `x[i * w + c]`. One pass over
+    /// `L` serves every column, and each column gets the bits
+    /// [`NumericLdlt::l_solve`] would give it.
+    ///
+    /// # Panics
+    ///
+    /// Panics unless `1 <= w <= ROW_SOLVE_WIDTH` and
+    /// `x.len() == self.dim() * w`.
+    pub fn l_solve_rows(&self, x: &mut [T], w: usize) {
+        assert_eq!(x.len(), self.sym.n * w, "dimension mismatch");
+        let (colptr, rowidx, values) = (&self.sym.l_colptr, &self.sym.l_rowidx, &self.l_values);
+        dispatch_width!(l_solve_rows_csc, w, colptr, rowidx, values, x);
+    }
+
+    /// [`NumericLdlt::lt_solve`] on `w` row-interleaved right-hand sides,
+    /// the layout of [`NumericLdlt::l_solve_rows`]; each column gets the
+    /// bits [`NumericLdlt::lt_solve`] would give it.
+    ///
+    /// # Panics
+    ///
+    /// Panics unless `1 <= w <= ROW_SOLVE_WIDTH` and
+    /// `x.len() == self.dim() * w`.
+    pub fn lt_solve_rows(&self, x: &mut [T], w: usize) {
+        assert_eq!(x.len(), self.sym.n * w, "dimension mismatch");
+        let (colptr, rowidx, values) = (&self.sym.l_colptr, &self.sym.l_rowidx, &self.l_values);
+        dispatch_width!(lt_solve_rows_csc, w, colptr, rowidx, values, x);
     }
 }
 
@@ -1327,266 +1369,6 @@ fn inertia_of<T: Scalar>(d: &[T]) -> (usize, usize, usize) {
         }
     }
     (neg, zero, pos)
-}
-
-/// A sparse factorization `Pᵀ A P = L D Lᵀ` with diagonal `D`.
-///
-/// # Examples
-///
-/// ```
-/// use mpvl_sparse::{TripletMat, SparseLdlt, Ordering};
-/// # fn main() -> Result<(), Box<dyn std::error::Error>> {
-/// let mut t = TripletMat::new(3, 3);
-/// for i in 0..3 { t.push(i, i, 2.0); }
-/// t.push_sym(0, 1, -1.0);
-/// t.push_sym(1, 2, -1.0);
-/// let a = t.to_csc();
-/// let f = SparseLdlt::factor(&a, Ordering::MinDegree)?;
-/// let x = f.solve(&[1.0, 0.0, 1.0]);
-/// let r = a.matvec(&x);
-/// assert!((r[0] - 1.0).abs() < 1e-12 && r[1].abs() < 1e-12);
-/// # Ok(())
-/// # }
-/// ```
-#[derive(Debug, Clone)]
-pub struct SparseLdlt<T> {
-    n: usize,
-    /// `perm[new] = old`.
-    perm: Vec<usize>,
-    /// Unit lower-triangular factor (diagonal implicit), CSC.
-    l_colptr: Vec<usize>,
-    l_rowidx: Vec<usize>,
-    l_values: Vec<T>,
-    /// Diagonal of `D`.
-    d: Vec<T>,
-}
-
-impl<T: Scalar> SparseLdlt<T> {
-    /// Factors the symmetric matrix `a` after applying the requested
-    /// fill-reducing ordering. Only the upper triangle (in permuted form)
-    /// is read; the input should carry both triangles.
-    ///
-    /// # Errors
-    ///
-    /// * [`LdltError::NotSquare`] for rectangular input.
-    /// * [`LdltError::ZeroPivot`] when a pivot underflows the breakdown
-    ///   tolerance (`1e-13 · max|A|`); for RLC work this signals that a
-    ///   frequency shift is required (paper eq. 26).
-    pub fn factor(a: &CscMat<T>, ordering: Ordering) -> Result<Self, LdltError> {
-        if a.nrows() != a.ncols() {
-            return Err(LdltError::NotSquare {
-                nrows: a.nrows(),
-                ncols: a.ncols(),
-            });
-        }
-        let perm = compute_ordering(&a.adjacency(), ordering);
-        Self::factor_with_perm(a, perm)
-    }
-
-    /// Factors with an explicit permutation (`perm[new] = old`).
-    ///
-    /// This is the one-shot path: symbolic analysis plus numeric pass,
-    /// with large factorizations parallelized over etree subtrees on the
-    /// process-wide [`mpvl_par::thread_count`] workers (bit-identical to
-    /// serial). Callers factoring many matrices with one shared pattern
-    /// should use [`SymbolicLdlt::analyze`] once and
-    /// [`NumericLdlt::refactor`] per matrix instead.
-    ///
-    /// # Errors
-    ///
-    /// See [`SparseLdlt::factor`].
-    pub fn factor_with_perm(a: &CscMat<T>, perm: Vec<usize>) -> Result<Self, LdltError> {
-        let sym = Arc::new(SymbolicLdlt::analyze_with_perm(a, perm)?);
-        let mut num = NumericLdlt::new(Arc::clone(&sym));
-        num.refactor_with_threads(a, mpvl_par::thread_count())?;
-        let NumericLdlt { l_values, d, .. } = num;
-        // `num` held the only other reference; unwrap to avoid cloning.
-        let sym = Arc::try_unwrap(sym).unwrap_or_else(|arc| (*arc).clone());
-        Ok(SparseLdlt {
-            n: sym.n,
-            perm: sym.perm,
-            l_colptr: sym.l_colptr,
-            l_rowidx: sym.l_rowidx,
-            l_values,
-            d,
-        })
-    }
-
-    /// Dimension of the factored matrix.
-    pub fn dim(&self) -> usize {
-        self.n
-    }
-
-    /// Number of stored off-diagonal entries of `L` (the fill).
-    pub fn l_nnz(&self) -> usize {
-        self.l_values.len()
-    }
-
-    /// The diagonal of `D`, in permuted order.
-    pub fn d(&self) -> &[T] {
-        &self.d
-    }
-
-    /// The permutation used, `perm[new] = old`.
-    pub fn perm(&self) -> &[usize] {
-        &self.perm
-    }
-
-    /// Solves `A x = b`.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `b.len() != self.dim()`.
-    pub fn solve(&self, b: &[T]) -> Vec<T> {
-        assert_eq!(b.len(), self.n, "dimension mismatch");
-        let mut work = vec![T::zero(); self.n];
-        let mut out = vec![T::zero(); self.n];
-        solve_permuted_into(
-            &self.perm,
-            &self.l_colptr,
-            &self.l_rowidx,
-            &self.l_values,
-            &self.d,
-            b,
-            &mut work,
-            &mut out,
-        );
-        out
-    }
-
-    /// Blocked multi-right-hand-side solve `A X = B`: every column solved
-    /// through one shared workspace instead of paying a `Vec` allocation
-    /// and permutation round-trip each.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `b.nrows() != self.dim()`.
-    pub fn solve_mat(&self, b: &Mat<T>) -> Mat<T> {
-        solve_mat_permuted(
-            &self.perm,
-            &self.l_colptr,
-            &self.l_rowidx,
-            &self.l_values,
-            &self.d,
-            b,
-        )
-    }
-
-    /// In-place forward substitution `L x = b` (unit diagonal), in permuted
-    /// coordinates.
-    pub fn l_solve(&self, x: &mut [T]) {
-        l_solve_csc(&self.l_colptr, &self.l_rowidx, &self.l_values, x);
-    }
-
-    /// In-place back substitution `Lᵀ x = b`, in permuted coordinates.
-    pub fn lt_solve(&self, x: &mut [T]) {
-        lt_solve_csc(&self.l_colptr, &self.l_rowidx, &self.l_values, x);
-    }
-
-    /// [`SparseLdlt::l_solve`] on `w` right-hand sides at once, stored
-    /// row-interleaved: entry `(i, c)` at `x[i * w + c]`. One pass over
-    /// `L` serves every column, and each column gets the bits
-    /// [`SparseLdlt::l_solve`] would give it.
-    ///
-    /// # Panics
-    ///
-    /// Panics unless `1 <= w <= ROW_SOLVE_WIDTH` and
-    /// `x.len() == self.dim() * w`.
-    pub fn l_solve_rows(&self, x: &mut [T], w: usize) {
-        assert_eq!(x.len(), self.n * w, "dimension mismatch");
-        let (colptr, rowidx, values) = (&self.l_colptr, &self.l_rowidx, &self.l_values);
-        dispatch_width!(l_solve_rows_csc, w, colptr, rowidx, values, x);
-    }
-
-    /// [`SparseLdlt::lt_solve`] on `w` row-interleaved right-hand sides,
-    /// the layout of [`SparseLdlt::l_solve_rows`]; each column gets the
-    /// bits [`SparseLdlt::lt_solve`] would give it.
-    ///
-    /// # Panics
-    ///
-    /// Panics unless `1 <= w <= ROW_SOLVE_WIDTH` and
-    /// `x.len() == self.dim() * w`.
-    pub fn lt_solve_rows(&self, x: &mut [T], w: usize) {
-        assert_eq!(x.len(), self.n * w, "dimension mismatch");
-        let (colptr, rowidx, values) = (&self.l_colptr, &self.l_rowidx, &self.l_values);
-        dispatch_width!(lt_solve_rows_csc, w, colptr, rowidx, values, x);
-    }
-
-    /// Matrix inertia `(n_neg, n_zero, n_pos)` from the real parts of `D`.
-    ///
-    /// Meaningful for real symmetric input (where `D` is real).
-    pub fn inertia(&self) -> (usize, usize, usize) {
-        inertia_of(&self.d)
-    }
-}
-
-impl SparseLdlt<f64> {
-    /// Views the factorization as the paper's `A = M J Mᵀ` (eq. 15) with
-    /// `M = Pᵀ L |D|^{1/2}` and `J = sign(D) = diag(±1)`, exposing only the
-    /// actions `M⁻¹` and `M⁻ᵀ` plus the signature `J` — exactly what the
-    /// symmetric Lanczos process consumes.
-    pub fn to_mj(&self) -> SparseMj<'_> {
-        let sqrt_d: Vec<f64> = self.d.iter().map(|&v| v.abs().sqrt()).collect();
-        let j_sign: Vec<f64> = self.d.iter().map(|&v| v.signum()).collect();
-        SparseMj {
-            f: self,
-            sqrt_d,
-            j_sign,
-        }
-    }
-}
-
-/// The `M J Mᵀ` view of a real [`SparseLdlt`]; see [`SparseLdlt::to_mj`].
-#[derive(Debug, Clone)]
-pub struct SparseMj<'a> {
-    f: &'a SparseLdlt<f64>,
-    sqrt_d: Vec<f64>,
-    j_sign: Vec<f64>,
-}
-
-impl SparseMj<'_> {
-    /// Dimension of the factored matrix.
-    pub fn dim(&self) -> usize {
-        self.f.n
-    }
-
-    /// The signature `J = diag(±1)`.
-    pub fn j_diag(&self) -> &[f64] {
-        &self.j_sign
-    }
-
-    /// Applies `M⁻¹ = |D|^{-1/2} L⁻¹ Pᵀ·` to `x`.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `x.len() != self.dim()`.
-    pub fn apply_minv(&self, x: &[f64]) -> Vec<f64> {
-        let n = self.f.n;
-        assert_eq!(x.len(), n, "dimension mismatch");
-        let mut y: Vec<f64> = (0..n).map(|i| x[self.f.perm[i]]).collect();
-        self.f.l_solve(&mut y);
-        for k in 0..n {
-            y[k] /= self.sqrt_d[k];
-        }
-        y
-    }
-
-    /// Applies `M⁻ᵀ = P L⁻ᵀ |D|^{-1/2}·` to `x`.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `x.len() != self.dim()`.
-    pub fn apply_minv_t(&self, x: &[f64]) -> Vec<f64> {
-        let n = self.f.n;
-        assert_eq!(x.len(), n, "dimension mismatch");
-        let mut y: Vec<f64> = (0..n).map(|k| x[k] / self.sqrt_d[k]).collect();
-        self.f.lt_solve(&mut y);
-        let mut out = vec![0.0; n];
-        for i in 0..n {
-            out[self.f.perm[i]] = y[i];
-        }
-        out
-    }
 }
 
 #[cfg(test)]
@@ -1611,7 +1393,7 @@ mod tests {
         let a = laplacian(50);
         let b: Vec<f64> = (0..50).map(|i| (i as f64 * 0.1).sin()).collect();
         for o in [Ordering::Natural, Ordering::Rcm, Ordering::MinDegree] {
-            let f = SparseLdlt::factor(&a, o).expect("SPD");
+            let f = NumericLdlt::factor(&a, o).expect("SPD");
             let x = f.solve(&b);
             let r = a.matvec(&x);
             for (u, v) in r.iter().zip(&b) {
@@ -1634,7 +1416,7 @@ mod tests {
             }
         }
         let a = t.to_csc();
-        let f = SparseLdlt::factor(&a, Ordering::MinDegree).expect("quasi-definite");
+        let f = NumericLdlt::factor(&a, Ordering::MinDegree).expect("quasi-definite");
         let (neg, zero, pos) = f.inertia();
         assert_eq!((neg, zero, pos), (n, 0, n));
         let b = vec![1.0; 2 * n];
@@ -1652,7 +1434,7 @@ mod tests {
         let g = laplacian(n);
         let jw = Complex64::new(0.0, 2.0);
         let a = g.map(|v| Complex64::from_real(v) + jw * Complex64::from_real(v * 0.1));
-        let f = SparseLdlt::factor(&a, Ordering::Rcm).expect("complex symmetric");
+        let f = NumericLdlt::factor(&a, Ordering::Rcm).expect("complex symmetric");
         let b: Vec<Complex64> = (0..n)
             .map(|i| Complex64::new(1.0, i as f64 * 0.05))
             .collect();
@@ -1674,7 +1456,7 @@ mod tests {
             t.push_sym(i, i + 1, -1.0);
         }
         let a = t.to_csc();
-        match SparseLdlt::factor(&a, Ordering::Natural) {
+        match NumericLdlt::factor(&a, Ordering::Natural) {
             Err(LdltError::ZeroPivot { .. }) => {}
             other => panic!("expected zero pivot, got {other:?}"),
         }
@@ -1694,7 +1476,7 @@ mod tests {
         let a = t.to_csc();
         let perm: Vec<usize> = (0..n).rev().collect();
         let step = n - 1 - bad; // where the reversed order eliminates it
-        match SparseLdlt::factor_with_perm(&a, perm) {
+        match NumericLdlt::factor_with_perm(&a, perm) {
             Err(LdltError::ZeroPivot { col, .. }) => {
                 assert_eq!(col, bad, "expected original index, step was {step}");
             }
@@ -1706,14 +1488,40 @@ mod tests {
     fn rejects_rectangular() {
         let a = CscMat::<f64>::zero(2, 3);
         assert!(matches!(
-            SparseLdlt::factor(&a, Ordering::Natural),
+            NumericLdlt::factor(&a, Ordering::Natural),
             Err(LdltError::NotSquare { .. })
         ));
     }
 
+    /// `M⁻¹ x = |D|^{-1/2} L⁻¹ Pᵀ x` for the paper's `A = M J Mᵀ` (eq. 15).
+    fn apply_minv(f: &NumericLdlt<f64>, x: &[f64]) -> Vec<f64> {
+        let mut y: Vec<f64> = f.perm().iter().map(|&p| x[p]).collect();
+        f.l_solve(&mut y);
+        for (v, d) in y.iter_mut().zip(f.d()) {
+            *v /= d.abs().sqrt();
+        }
+        y
+    }
+
+    /// `M⁻ᵀ x = P L⁻ᵀ |D|^{-1/2} x`.
+    fn apply_minv_t(f: &NumericLdlt<f64>, x: &[f64]) -> Vec<f64> {
+        let mut y: Vec<f64> = x
+            .iter()
+            .zip(f.d())
+            .map(|(v, d)| v / d.abs().sqrt())
+            .collect();
+        f.lt_solve(&mut y);
+        let mut out = vec![0.0; y.len()];
+        for (&p, v) in f.perm().iter().zip(y) {
+            out[p] = v;
+        }
+        out
+    }
+
     #[test]
     fn mj_view_reproduces_matrix_action() {
-        // Verify M^{-1} A M^{-T} = J on an indefinite quasi-definite matrix.
+        // Verify M^{-1} A M^{-T} = J = sign(D) on an indefinite
+        // quasi-definite matrix.
         let mut t = TripletMat::new(4, 4);
         t.push(0, 0, 4.0);
         t.push(1, 1, 3.0);
@@ -1722,16 +1530,15 @@ mod tests {
         t.push_sym(0, 2, 1.0);
         t.push_sym(1, 3, 0.5);
         let a = t.to_csc();
-        let f = SparseLdlt::factor(&a, Ordering::Natural).unwrap();
-        let mj = f.to_mj();
+        let f = NumericLdlt::factor(&a, Ordering::Natural).unwrap();
         for i in 0..4 {
             let mut e = vec![0.0; 4];
             e[i] = 1.0;
-            let w = mj.apply_minv_t(&e);
+            let w = apply_minv_t(&f, &e);
             let aw = a.matvec(&w);
-            let res = mj.apply_minv(&aw);
+            let res = apply_minv(&f, &aw);
             for (k, &v) in res.iter().enumerate() {
-                let expect = if k == i { mj.j_diag()[i] } else { 0.0 };
+                let expect = if k == i { f.d()[i].signum() } else { 0.0 };
                 assert!((v - expect).abs() < 1e-12, "entry {k},{i}: {v}");
             }
         }
@@ -1741,7 +1548,7 @@ mod tests {
     fn fill_is_bounded_on_tridiagonal() {
         // A tridiagonal matrix factors with zero fill under natural order.
         let a = laplacian(100);
-        let f = SparseLdlt::factor(&a, Ordering::Natural).unwrap();
+        let f = NumericLdlt::factor(&a, Ordering::Natural).unwrap();
         assert_eq!(f.l_nnz(), 99);
     }
 
@@ -1756,7 +1563,7 @@ mod tests {
         let mut num = NumericLdlt::new(Arc::clone(&sym));
         num.refactor(&a1).unwrap();
         num.refactor(&a2).unwrap(); // reuses pattern + workspaces
-        let fresh = SparseLdlt::factor_with_perm(&a2, sym.perm().to_vec()).unwrap();
+        let fresh = NumericLdlt::factor_with_perm(&a2, sym.perm().to_vec()).unwrap();
         assert_eq!(num.d(), fresh.d(), "D must match bitwise");
         assert_eq!(num.inertia(), fresh.inertia());
         let b: Vec<f64> = (0..40).map(|i| (i as f64 * 0.3).cos()).collect();
@@ -1775,9 +1582,10 @@ mod tests {
         let a1 = sys_at(1.5);
         let a2 = sys_at(42.0);
         let sym = Arc::new(SymbolicLdlt::analyze(&a1, Ordering::Rcm).unwrap());
-        let mut num = NumericLdlt::factor(&sym, &a1).unwrap();
+        let mut num = NumericLdlt::new(Arc::clone(&sym));
+        num.refactor(&a1).unwrap();
         num.refactor(&a2).unwrap();
-        let fresh = SparseLdlt::factor_with_perm(&a2, sym.perm().to_vec()).unwrap();
+        let fresh = NumericLdlt::factor_with_perm(&a2, sym.perm().to_vec()).unwrap();
         assert_eq!(num.d(), fresh.d());
         let b: Vec<Complex64> = (0..30)
             .map(|i| Complex64::new(1.0, 0.1 * i as f64))
@@ -1831,14 +1639,14 @@ mod tests {
         // Different pattern (identity adds nothing off-diagonal but the
         // union keeps it identical here since diagonals already exist).
         num.refactor(&grounded).unwrap();
-        let fresh = SparseLdlt::factor_with_perm(&grounded, sym.perm().to_vec()).unwrap();
+        let fresh = NumericLdlt::factor_with_perm(&grounded, sym.perm().to_vec()).unwrap();
         assert_eq!(num.d(), fresh.d());
     }
 
     #[test]
     fn solve_mat_matches_columnwise_solves() {
         let a = laplacian(25);
-        let f = SparseLdlt::factor(&a, Ordering::MinDegree).unwrap();
+        let f = NumericLdlt::factor(&a, Ordering::MinDegree).unwrap();
         let b = Mat::from_fn(25, 3, |i, j| ((i * 7 + j * 13) as f64 * 0.01).sin());
         let x = f.solve_mat(&b);
         for j in 0..3 {
@@ -1850,7 +1658,8 @@ mod tests {
     fn solve_mat_into_matches_allocating_solve_mat_on_reused_buffers() {
         let a = laplacian(25);
         let sym = Arc::new(SymbolicLdlt::analyze(&a, Ordering::Rcm).unwrap());
-        let num = NumericLdlt::factor(&sym, &a).unwrap();
+        let mut num = NumericLdlt::new(Arc::clone(&sym));
+        num.refactor(&a).unwrap();
         let b1 = Mat::from_fn(25, 3, |i, j| ((i * 7 + j * 13) as f64 * 0.01).sin());
         let b2 = Mat::from_fn(25, 3, |i, j| ((i * 3 + j * 5) as f64 * 0.02).cos());
         // Deliberately dirty buffers: every entry must be overwritten.
@@ -1866,7 +1675,7 @@ mod tests {
     fn symbolic_predicts_exact_fill() {
         let a = laplacian(60);
         let sym = SymbolicLdlt::analyze(&a, Ordering::MinDegree).unwrap();
-        let f = SparseLdlt::factor_with_perm(&a, sym.perm().to_vec()).unwrap();
+        let f = NumericLdlt::factor_with_perm(&a, sym.perm().to_vec()).unwrap();
         assert_eq!(sym.l_nnz(), f.l_nnz());
         assert_eq!(sym.dim(), 60);
     }
@@ -1942,8 +1751,8 @@ mod tests {
             t.push_sym(0, i, 1.0);
         }
         let a = t.to_csc();
-        let nat = SparseLdlt::factor(&a, Ordering::Natural).unwrap();
-        let md = SparseLdlt::factor(&a, Ordering::MinDegree).unwrap();
+        let nat = NumericLdlt::factor(&a, Ordering::Natural).unwrap();
+        let md = NumericLdlt::factor(&a, Ordering::MinDegree).unwrap();
         assert_eq!(md.l_nnz(), n - 1);
         assert!(nat.l_nnz() > md.l_nnz());
     }

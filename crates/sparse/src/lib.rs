@@ -11,19 +11,18 @@
 //!   fill-reducing orderings. [`Ordering::MinDegree`] is the default: the
 //!   explicit [`min_degree`] up to [`EXPLICIT_MD_MAX`] unknowns, the
 //!   quotient-graph [`quotient_min_degree`] above.
-//! * [`SparseLdlt`] — unpivoted up-looking LDLᵀ, generic over `f64` and
-//!   [`mpvl_la::Complex64`] (the latter serves AC analysis `G + jωC`).
-//! * [`SymbolicLdlt`] / [`NumericLdlt`] — the factorize-once-symbolically,
-//!   refactor-numerically split: one symbolic analysis (ordering, etree,
-//!   `L` pattern) shared across many same-pattern numeric factorizations,
-//!   the hot-loop structure of an AC frequency sweep.
-//! * [`SparseMj`] — the paper's `G = M J Mᵀ` view (eq. 15) of a real
-//!   factorization, feeding the symmetric Lanczos process.
+//! * [`NumericLdlt`] — unpivoted up-looking supernodal LDLᵀ, generic over
+//!   `f64` and [`mpvl_la::Complex64`] (the latter serves AC analysis
+//!   `G + jωC`). [`NumericLdlt::factor`] factors one matrix;
+//!   [`NumericLdlt::refactor`] reuses a shared [`SymbolicLdlt`] (ordering,
+//!   etree, `L` pattern) across many same-pattern matrices, the hot-loop
+//!   structure of an AC frequency sweep. The paper's `G = M J Mᵀ` view
+//!   (eq. 15) of a real factor lives one layer up, in `sympvl::GFactor`.
 //!
 //! # Examples
 //!
 //! ```
-//! use mpvl_sparse::{TripletMat, SparseLdlt, Ordering};
+//! use mpvl_sparse::{TripletMat, NumericLdlt, Ordering};
 //! # fn main() -> Result<(), Box<dyn std::error::Error>> {
 //! // A tiny conductance matrix, stamped like a circuit.
 //! let mut g = TripletMat::new(2, 2);
@@ -32,7 +31,7 @@
 //! g.push(0, 0, 0.5);
 //! g.push(1, 1, 0.5);
 //! let g = g.to_csc();
-//! let f = SparseLdlt::factor(&g, Ordering::MinDegree)?;
+//! let f = NumericLdlt::factor(&g, Ordering::MinDegree)?;
 //! let v = f.solve(&[0.0, 1.0]); // unit current into node 1
 //! assert!(v[1] > v[0] && v[0] > 0.0);
 //! # Ok(())
@@ -51,6 +50,6 @@ mod triplet;
 
 pub use amd::quotient_min_degree;
 pub use csc::{AddScaledPlan, CscMat};
-pub use ldlt::{LdltError, NumericLdlt, SparseLdlt, SparseMj, SymbolicLdlt, ROW_SOLVE_WIDTH};
+pub use ldlt::{LdltError, NumericLdlt, SymbolicLdlt, ROW_SOLVE_WIDTH};
 pub use order::{compute_ordering, is_permutation, min_degree, rcm, Ordering, EXPLICIT_MD_MAX};
 pub use triplet::TripletMat;

@@ -1,7 +1,7 @@
 //! Property-based tests for the sparse kernels.
 
 use mpvl_la::Complex64;
-use mpvl_sparse::{compute_ordering, is_permutation, Ordering, SparseLdlt, TripletMat};
+use mpvl_sparse::{compute_ordering, is_permutation, NumericLdlt, Ordering, TripletMat};
 use mpvl_testkit::prop::{check, vec_in, vec_of, Strategy, VecStrategy};
 use mpvl_testkit::{prop_assert, prop_assert_eq};
 
@@ -86,7 +86,7 @@ fn ldlt_solves_under_every_ordering() {
         |(net, b)| {
             let a = resistor_network(15, net);
             for o in [Ordering::Natural, Ordering::Rcm, Ordering::MinDegree] {
-                let f = SparseLdlt::factor(&a, o).expect("SPD network");
+                let f = NumericLdlt::factor(&a, o).expect("SPD network");
                 let x = f.solve(b);
                 let r = a.matvec(&x);
                 for (u, v) in r.iter().zip(b) {
@@ -106,7 +106,7 @@ fn ldlt_inertia_all_positive_for_spd() {
         network_input(10),
         |net| {
             let a = resistor_network(10, net);
-            let f = SparseLdlt::factor(&a, Ordering::MinDegree).expect("SPD");
+            let f = NumericLdlt::factor(&a, Ordering::MinDegree).expect("SPD");
             prop_assert_eq!(f.inertia(), (0, 0, 10));
             Ok(())
         },
@@ -136,7 +136,7 @@ fn complex_factor_matches_dense_solve() {
             let a = resistor_network(10, net);
             // (G + jw * 0.1 G) is complex symmetric and nonsingular.
             let k = a.map(|v| Complex64::new(v, w * 0.1 * v));
-            let f = SparseLdlt::factor(&k, Ordering::Rcm).expect("complex");
+            let f = NumericLdlt::factor(&k, Ordering::Rcm).expect("complex");
             let b: Vec<Complex64> = (0..10).map(|i| Complex64::new(1.0, i as f64)).collect();
             let x = f.solve(&b);
             let r = k.matvec(&x);
@@ -172,13 +172,28 @@ fn mj_view_consistent_with_solve() {
         48,
         (network_input(9), vec_of(-1.0f64..1.0, 9)),
         |(net, b)| {
-            // A^{-1} b == M^{-T} J M^{-1} b  (J = I for SPD).
+            // A^{-1} b == M^{-T} J M^{-1} b with M = Pᵀ L |D|^{1/2}
+            // (J = sign(D) = I for SPD).
             let a = resistor_network(9, net);
-            let f = SparseLdlt::factor(&a, Ordering::MinDegree).expect("SPD");
-            let mj = f.to_mj();
-            prop_assert!(mj.j_diag().iter().all(|&s| s == 1.0));
+            let f = NumericLdlt::factor(&a, Ordering::MinDegree).expect("SPD");
+            prop_assert!(f.d().iter().all(|&d| d.signum() == 1.0));
+            let sqrt_d: Vec<f64> = f.d().iter().map(|d| d.abs().sqrt()).collect();
+            // M⁻¹ b = |D|^{-1/2} L⁻¹ Pᵀ b
+            let mut y: Vec<f64> = f.perm().iter().map(|&p| b[p]).collect();
+            f.l_solve(&mut y);
+            for (v, s) in y.iter_mut().zip(&sqrt_d) {
+                *v /= s;
+            }
+            // M⁻ᵀ y = P L⁻ᵀ |D|^{-1/2} y
+            for (v, s) in y.iter_mut().zip(&sqrt_d) {
+                *v /= s;
+            }
+            f.lt_solve(&mut y);
+            let mut x2 = vec![0.0; 9];
+            for (&p, v) in f.perm().iter().zip(y) {
+                x2[p] = v;
+            }
             let x1 = f.solve(b);
-            let x2 = mj.apply_minv_t(&mj.apply_minv(b));
             for (u, v) in x1.iter().zip(&x2) {
                 prop_assert!((u - v).abs() < 1e-9);
             }

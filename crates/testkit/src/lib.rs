@@ -10,7 +10,7 @@
 //!   ([`rng::SmallRng::seed_from_u64`], `gen_range`, `gen`, `gen_bool`).
 //! * [`prop`] — a property-test runner with closure-driven strategies,
 //!   fixed-seed case iteration and greedy input shrinking.
-//! * [`bench`] — a criterion-free micro-bench harness (warmup +
+//! * [`bench`](mod@bench) — a criterion-free micro-bench harness (warmup +
 //!   median/p90-of-N wall clock) that writes machine-readable JSON to
 //!   `target/bench/BENCH_<suite>.json`.
 //!

@@ -66,6 +66,11 @@ echo "==> cargo build --release --offline --all-targets"
 # --all-targets pulls in the examples and integration tests.
 cargo build --release --offline --all-targets
 
+echo "==> rustdoc (every intra-doc link resolves, no private links)"
+# A renamed or deleted item leaves its doc links dangling; rustdoc only
+# warns, so the gate turns warnings into errors.
+RUSTDOCFLAGS="-D warnings" cargo doc -q --offline --no-deps --workspace
+
 echo "==> cargo test -q --offline (MPVL_THREADS=1: single-thread fallback)"
 # The env pin keeps the mpvl-par inline fallback on every env-driven
 # entry point; the multi-thread pool is still exercised explicitly by
