@@ -10,7 +10,7 @@ use mpvl_circuit::generators::{interconnect, InterconnectParams};
 use mpvl_circuit::MnaSystem;
 use mpvl_la::Complex64;
 use mpvl_sim::{ac_sweep, log_space};
-use sympvl::{sympvl, ExpansionPoint, RationalModel, SympvlOptions};
+use sympvl::{reduce_multipoint, sympvl, MultiPointOptions, SympvlOptions};
 
 fn main() -> Result<(), Box<dyn std::error::Error>> {
     println!("=== Extension ablation: multi-point expansion vs single-point Padé ===");
@@ -28,13 +28,17 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     let exact = ac_sweep(&sys, &freqs)?;
 
     let mut rows = Vec::new();
+    // Three expansion points at σ = 1e7, 1e9 and 5e10 (σ = 2πf), with
+    // `sweeps` block moments (p states each) per point.
+    let point_freqs: Vec<f64> = [1e7, 1e9, 5e10]
+        .iter()
+        .map(|s0| s0 / (2.0 * std::f64::consts::PI))
+        .collect();
     for sweeps in [1usize, 2, 3] {
-        let pts = [
-            ExpansionPoint { s0: 1e7, sweeps },
-            ExpansionPoint { s0: 1e9, sweeps },
-            ExpansionPoint { s0: 5e10, sweeps },
-        ];
-        let multi = RationalModel::new(&sys, &pts)?;
+        let opts = MultiPointOptions::for_band(1e6, 1e11)?
+            .with_points(point_freqs.clone())?
+            .with_total_order(3 * sweeps * sys.num_ports())?;
+        let multi = reduce_multipoint(&sys, &opts)?.model;
         let single = sympvl(&sys, multi.order(), &SympvlOptions::default())?;
         let mut errs_m = Vec::new();
         let mut errs_s = Vec::new();

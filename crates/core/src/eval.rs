@@ -158,12 +158,87 @@ pub(crate) fn lu_eval_sigma_into(
 
 /// The pole–residue data of a successfully diagonalized model.
 #[derive(Debug, Clone)]
-struct PoleResidue {
+pub(crate) struct PoleResidue {
     /// Eigenvalues `λₖ` of `T`, in the eigensolver's deterministic order.
-    lambdas: Vec<Complex64>,
+    pub(crate) lambdas: Vec<Complex64>,
     /// Rank-1 residues `Wₖ = outer(L[:,k], R[k,:])`, stored as `q`
     /// consecutive column-major `p×p` blocks: `residues[k·p² + j·p + i]`.
-    residues: Vec<Complex64>,
+    pub(crate) residues: Vec<Complex64>,
+}
+
+/// Eigenvector-basis conditioning floor for the general path; a basis
+/// with a smaller LU `rcond` estimate (defective or near-defective `T`) is
+/// rejected outright.
+const MIN_BASIS_RCOND: f64 = 1e-12;
+
+/// Why [`diagonalize`] could not produce a pole–residue form.
+#[derive(Debug, Clone)]
+pub(crate) enum DiagonalizeError {
+    /// The eigensolver did not converge.
+    Eigen(String),
+    /// The eigenvector basis is singular or below [`MIN_BASIS_RCOND`].
+    Basis(String),
+}
+
+/// Diagonalizes `T` and assembles the pole–residue data
+/// `Ẑ(x) = Σₖ Wₖ/(1 + x·λₖ)`, or explains why it cannot be done safely.
+///
+/// The one place a model is turned into `(λₖ, Wₖ)`: compiled plans,
+/// [`crate::stabilize`] and [`crate::foster_synthesis`] all read it.
+/// Seeds the model's eigenvalue cache as a side effect.
+pub(crate) fn diagonalize(model: &ReducedModel) -> Result<PoleResidue, DiagonalizeError> {
+    let n = model.order();
+    let p = model.num_ports();
+    if n == 0 {
+        return Ok(PoleResidue {
+            lambdas: vec![],
+            residues: vec![],
+        });
+    }
+    let (lambdas, l, r) = if model.identity_j {
+        // Symmetric path: T = Q Λ Qᵀ with orthogonal Q — perfectly
+        // conditioned, real arithmetic until the final lift.
+        let e = sym_eigen(&model.t)
+            .map_err(|e| DiagonalizeError::Eigen(format!("symmetric eigensolver: {e}")))?;
+        let lambdas: Vec<Complex64> = e.values.iter().map(|&v| Complex64::from_real(v)).collect();
+        let drho = model.delta.matmul(&model.rho);
+        let l = drho.t_matmul(&e.vectors).map(Complex64::from_real);
+        let r = e.vectors.t_matmul(&model.rho).map(Complex64::from_real);
+        (lambdas, l, r)
+    } else {
+        // General path: complex eigenvector basis; reject defective /
+        // near-defective T via the basis conditioning.
+        let e = general_eigen(&model.t)
+            .map_err(|e| DiagonalizeError::Eigen(format!("general eigensolver: {e}")))?;
+        let basis = |reason: &str| DiagonalizeError::Basis(reason.to_string());
+        let lu = Lu::new(e.vectors.clone())
+            .map_err(|_| basis("eigenvector basis is exactly singular"))?;
+        let rcond = lu.rcond_estimate();
+        if rcond < MIN_BASIS_RCOND {
+            return Err(DiagonalizeError::Basis(format!(
+                "eigenvector basis too ill-conditioned (rcond {rcond:.3e})"
+            )));
+        }
+        let consts = model.consts();
+        let r = lu
+            .solve_mat(&consts.rho_c)
+            .map_err(|_| basis("eigenvector basis solve failed"))?;
+        let l = consts.drho_c.t_matmul(&e.vectors);
+        (e.values, l, r)
+    };
+    // Residues W_k[i,j] = L[i,k] · R[k,j], stored k-major column-major.
+    let mut residues = Vec::with_capacity(n * p * p);
+    for k in 0..n {
+        for j in 0..p {
+            for i in 0..p {
+                residues.push(l[(i, k)] * r[(k, j)]);
+            }
+        }
+    }
+    // Seed the model's eigenvalue cache: these are exactly the values
+    // `sigma_poles` computes, so pole queries reuse them bit-for-bit.
+    model.seed_t_eigenvalues(&lambdas);
+    Ok(PoleResidue { lambdas, residues })
 }
 
 /// A compiled evaluation plan for one [`ReducedModel`].
@@ -220,11 +295,6 @@ impl EvalPlan {
     /// and the point is routed through the exact LU path.
     const NEAR_POLE_REL: f64 = 1e-8;
 
-    /// Eigenvector-basis conditioning floor for the general path; a basis
-    /// with a smaller LU `rcond` estimate (defective or near-defective
-    /// `T`) is rejected outright.
-    const MIN_BASIS_RCOND: f64 = 1e-12;
-
     /// Compiles a plan for `model`.
     ///
     /// Never fails: when the eigendecomposition is unavailable, the
@@ -245,12 +315,14 @@ impl EvalPlan {
             compiled: None,
             fallback_reason: None,
         };
-        match plan.diagonalize(model) {
+        match diagonalize(model) {
             Ok(pr) => match plan.probe_check(&pr) {
                 Ok(()) => plan.compiled = Some(pr),
                 Err(reason) => plan.fallback_reason = Some(reason),
             },
-            Err(reason) => plan.fallback_reason = Some(reason),
+            Err(DiagonalizeError::Eigen(reason) | DiagonalizeError::Basis(reason)) => {
+                plan.fallback_reason = Some(reason)
+            }
         }
         plan
     }
@@ -397,60 +469,6 @@ impl EvalPlan {
             }
         }
         true
-    }
-
-    /// Diagonalizes `T` and assembles the pole–residue data, or explains
-    /// why it cannot be done safely.
-    fn diagonalize(&self, model: &ReducedModel) -> Result<PoleResidue, String> {
-        let n = self.order;
-        let p = self.ports;
-        if n == 0 {
-            return Ok(PoleResidue {
-                lambdas: vec![],
-                residues: vec![],
-            });
-        }
-        let (lambdas, l, r) = if model.identity_j {
-            // Symmetric path: T = Q Λ Qᵀ with orthogonal Q — perfectly
-            // conditioned, real arithmetic until the final lift.
-            let e = sym_eigen(&self.t).map_err(|e| format!("symmetric eigensolver: {e}"))?;
-            let lambdas: Vec<Complex64> =
-                e.values.iter().map(|&v| Complex64::from_real(v)).collect();
-            let drho = model.delta.matmul(&model.rho);
-            let l = drho.t_matmul(&e.vectors).map(Complex64::from_real);
-            let r = e.vectors.t_matmul(&model.rho).map(Complex64::from_real);
-            (lambdas, l, r)
-        } else {
-            // General path: complex eigenvector basis; reject defective /
-            // near-defective T via the basis conditioning.
-            let e = general_eigen(&self.t).map_err(|e| format!("general eigensolver: {e}"))?;
-            let lu = Lu::new(e.vectors.clone())
-                .map_err(|_| "eigenvector basis is exactly singular".to_string())?;
-            let rcond = lu.rcond_estimate();
-            if rcond < Self::MIN_BASIS_RCOND {
-                return Err(format!(
-                    "eigenvector basis too ill-conditioned (rcond {rcond:.3e})"
-                ));
-            }
-            let r = lu
-                .solve_mat(&self.consts.rho_c)
-                .map_err(|_| "eigenvector basis solve failed".to_string())?;
-            let l = self.consts.drho_c.t_matmul(&e.vectors);
-            (e.values, l, r)
-        };
-        // Residues W_k[i,j] = L[i,k] · R[k,j], stored k-major column-major.
-        let mut residues = Vec::with_capacity(n * p * p);
-        for k in 0..n {
-            for j in 0..p {
-                for i in 0..p {
-                    residues.push(l[(i, k)] * r[(k, j)]);
-                }
-            }
-        }
-        // Seed the model's eigenvalue cache: these are exactly the values
-        // `sigma_poles` computes, so pole queries reuse them bit-for-bit.
-        model.seed_t_eigenvalues(&lambdas);
-        Ok(PoleResidue { lambdas, residues })
     }
 
     /// Compares the candidate compiled form against the exact LU path at

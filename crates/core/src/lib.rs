@@ -52,7 +52,6 @@ mod multipoint;
 mod operator;
 mod passivity;
 mod postprocess;
-mod rational;
 mod reduce;
 mod run;
 mod state_space;
@@ -82,7 +81,6 @@ pub use multipoint::{
 pub use operator::KrylovOperator;
 pub use passivity::{certify, is_stable, sampled_passivity, Certificate, PassivityScan};
 pub use postprocess::{stabilize, PoleResidueModel, PostprocessOptions};
-pub use rational::{ExpansionPoint, RationalModel};
 pub use reduce::{
     factor_target, factor_with_options_via, factor_with_shift_via, sympvl, FactorTarget, Shift,
     SympvlOptions, DEFAULT_AUTO_RTOL,

@@ -612,6 +612,27 @@ mod tests {
     }
 
     #[test]
+    fn duplicate_points_give_single_point_bits() {
+        // A repeated expansion point adds no new directions: the explicit
+        // list is deduplicated, so the merged model is bit-identical.
+        let sys = MnaSystem::assemble(&rc_ladder(40, 60.0, 1e-12)).unwrap();
+        let opts = MultiPointOptions::for_band(1e7, 1e10)
+            .unwrap()
+            .with_total_order(6)
+            .unwrap();
+        let once = reduce_multipoint(&sys, &opts.clone().with_points(vec![1e8]).unwrap()).unwrap();
+        let twice = reduce_multipoint(&sys, &opts.with_points(vec![1e8, 1e8]).unwrap()).unwrap();
+        assert_eq!(twice.point_freqs_hz, vec![1e8]);
+        let bits = |m: &ReducedModel| {
+            [m.t_matrix(), m.delta_matrix(), m.rho_matrix()]
+                .iter()
+                .flat_map(|a| a.as_slice().iter().map(|v| v.to_bits()))
+                .collect::<Vec<u64>>()
+        };
+        assert_eq!(bits(&once.model), bits(&twice.model));
+    }
+
+    #[test]
     fn adaptive_placement_respects_caps_and_budget() {
         let ckt = interconnect(&InterconnectParams {
             wires: 3,

@@ -40,10 +40,8 @@ pub fn certify(model: &ReducedModel, tol: f64) -> Result<Certificate, SympvlErro
     if !model.guarantees_passivity() {
         return Ok(Certificate::NoGuarantee);
     }
-    let eig = sym_eigen(model.t_matrix()).map_err(|e| SympvlError::Eigen {
-        reason: e.to_string(),
-    })?;
-    let min = eig.values.first().copied().unwrap_or(0.0);
+    // `sym_eigen`'s ascending values, cached on the model.
+    let min = model.t_eigenvalues()?.first().map_or(0.0, |l| l.re);
     if min >= -tol {
         Ok(Certificate::ProvablyPassive {
             min_eigenvalue: min,

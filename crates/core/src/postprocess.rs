@@ -9,7 +9,8 @@
 //! Padé-based MOR literature:
 //!
 //! 1. Convert `Zₙ` to pole–residue form via the eigendecomposition of the
-//!    (generally non-symmetric) `Tₙ`.
+//!    (generally non-symmetric) `Tₙ` — the same diagonalization a compiled
+//!    [`crate::EvalPlan`] is built on.
 //! 2. **Stabilize**: reflect right-half-plane poles across the imaginary
 //!    axis (`s → −s̄`), which preserves the magnitude response shape, and
 //!    drop pole/residue pairs with negligible residue norm.
@@ -18,8 +19,9 @@
 //! The result is a [`PoleResidueModel`]: always stable, evaluable exactly
 //! like a [`ReducedModel`], and convertible to a time-domain stamp.
 
+use crate::eval::{diagonalize, DiagonalizeError};
 use crate::{ReducedModel, SympvlError};
-use mpvl_la::{general_eigenvalues, Complex64, Lu, Mat};
+use mpvl_la::{Complex64, Mat};
 
 /// A stable pole–residue form of a reduced-order model:
 /// `Z(s) ≈ Σ_k R_k / (σ(s) − p_k)` (σ-domain poles `p_k`, matrix residues
@@ -142,107 +144,39 @@ impl Default for PostprocessOptions {
 /// # Errors
 ///
 /// * [`SympvlError::Eigen`] if the eigendecomposition of `Tₙ` fails.
-/// * [`SympvlError::Singular`] if `Tₙ` has a defective eigenbasis to
-///   working precision (residue extraction needs the eigenvector matrix to
-///   be invertible).
+/// * [`SympvlError::Singular`] if the eigenvector basis of `Tₙ` is
+///   singular or too ill-conditioned (LU `rcond` estimate below 1e-12, the
+///   floor of [`crate::EvalPlan`]): residue extraction needs it inverted.
 pub fn stabilize(
     model: &ReducedModel,
     opts: &PostprocessOptions,
 ) -> Result<PoleResidueModel, SympvlError> {
-    let n = model.order();
     let p = model.num_ports();
-    // Z_n(x) = rho^T Delta (I + xT)^{-1} rho. With T = W diag(mu) W^{-1}:
-    // (I + xT)^{-1} = W diag(1/(1 + x mu)) W^{-1}. Residue algebra:
-    //   Z_n(x) = sum_k  a_k b_k^T / (1 + x mu_k),
-    //   a_k = (rho^T Delta W) e_k,  b_k^T = e_k^T (W^{-1} rho).
-    // In sigma domain with pole p_k = s0 - 1/mu_k:
-    //   1/(1 + (sigma - s0) mu_k) = (1/mu_k) / (sigma - p_k) for mu_k != 0;
-    //   mu_k == 0 contributes to the direct term.
-    let t = model.t_matrix();
-    let (eigvals, w) = if model.guarantees_passivity() {
-        // J = I: T is symmetric — use the orthogonal eigendecomposition.
-        let tsym = Mat::from_fn(n, n, |i, j| 0.5 * (t[(i, j)] + t[(j, i)]));
-        let e = mpvl_la::sym_eigen(&tsym).map_err(|er| SympvlError::Eigen {
-            reason: er.to_string(),
-        })?;
-        let vals: Vec<Complex64> = e.values.iter().map(|&v| Complex64::from_real(v)).collect();
-        (vals, e.vectors.map(Complex64::from_real))
-    } else {
-        let eigvals = general_eigenvalues(t).map_err(|e| SympvlError::Eigen {
-            reason: e.to_string(),
-        })?;
-        // Eigenvectors by inverse iteration. T is real, so the eigenvector
-        // of a conjugate eigenvalue is the conjugate vector — pair them
-        // explicitly to keep the response conjugate-symmetric.
-        let mut w = Mat::zeros(n, n);
-        let tc = t.map(Complex64::from_real);
-        let mut done = vec![false; n];
-        for k in 0..n {
-            if done[k] {
-                continue;
-            }
-            let mu = eigvals[k];
-            let eig_scale = eigvals.iter().map(|e| e.abs()).fold(0.0f64, f64::max);
-            let v = inverse_iteration(&tc, mu, eig_scale)?;
-            for i in 0..n {
-                w[(i, k)] = v[i];
-            }
-            done[k] = true;
-            if mu.im != 0.0 {
-                // Find the unpaired conjugate partner.
-                if let Some(kc) = (0..n).find(|&j| {
-                    !done[j] && (eigvals[j] - mu.conj()).abs() <= 1e-8 * mu.abs().max(1e-300)
-                }) {
-                    for i in 0..n {
-                        w[(i, kc)] = v[i].conj();
-                    }
-                    done[kc] = true;
-                }
-            }
-        }
-        (eigvals, w)
-    };
-    let w_lu = Lu::new(w.clone()).map_err(|_| SympvlError::Singular {
-        context: "post-processing eigenbasis",
+    // Z_n(x) = sum_k W_k / (1 + x lambda_k) (the shared diagonalization).
+    // In sigma domain with pole p_k = s0 - 1/lambda_k:
+    //   1/(1 + (sigma - s0) lambda_k) = (1/lambda_k) / (sigma - p_k) for
+    //   lambda_k != 0; lambda_k == 0 contributes to the direct term.
+    let pr = diagonalize(model).map_err(|e| match e {
+        DiagonalizeError::Eigen(reason) => SympvlError::Eigen { reason },
+        DiagonalizeError::Basis(_) => SympvlError::Singular {
+            context: "post-processing eigenbasis",
+        },
     })?;
-    let rho_c = model.rho_matrix().map(Complex64::from_real);
-    let drho = model
-        .delta_matrix()
-        .matmul(model.rho_matrix())
-        .map(Complex64::from_real);
-    // left_k = (rho^T Delta W) row space: compute A = W^T (Delta rho) -> a_k = column...
-    let a = w.t_matmul(&drho); // n x p: row k = a_k^T
-    let binv = w_lu.solve_mat(&rho_c).map_err(|_| SympvlError::Singular {
-        context: "post-processing residue extraction",
-    })?; // n x p: row k = b_k^T
-
     let s0 = model.shift();
     let mut poles = Vec::new();
     let mut residues: Vec<Mat<Complex64>> = Vec::new();
     let mut direct = Mat::<Complex64>::zeros(p, p);
-    for (k, &mu) in eigvals.iter().enumerate() {
-        // Rank-one term (a_k b_k^T) / (1 + x mu).
-        let ak: Vec<Complex64> = (0..p).map(|j| a[(k, j)]).collect();
-        let bk: Vec<Complex64> = (0..p).map(|j| binv[(k, j)]).collect();
-        if mu.abs() < 1e-14 {
-            // Constant contribution.
-            for i in 0..p {
-                for j in 0..p {
-                    direct[(i, j)] += ak[i] * bk[j];
-                }
+    for (k, &lam) in pr.lambdas.iter().enumerate() {
+        let wk = &pr.residues[k * p * p..(k + 1) * p * p];
+        if lam.abs() < 1e-14 {
+            for (d, &w) in direct.as_mut_slice().iter_mut().zip(wk) {
+                *d += w;
             }
             continue;
         }
-        let pole = Complex64::from_real(s0) - mu.recip();
-        let coef = mu.recip(); // residue scale
-        let mut rk = Mat::zeros(p, p);
-        for i in 0..p {
-            for j in 0..p {
-                rk[(i, j)] = ak[i] * bk[j] * coef;
-            }
-        }
-        poles.push(pole);
-        residues.push(rk);
+        let coef = lam.recip();
+        poles.push(Complex64::from_real(s0) - coef);
+        residues.push(Mat::from_fn(p, p, |i, j| wk[j * p + i] * coef));
     }
 
     // Stabilize: reflect RHP poles; drop negligible residues.
@@ -277,43 +211,6 @@ pub fn stabilize(
         reflected,
         dropped,
     })
-}
-
-/// Inverse iteration to recover the eigenvector for an (already computed)
-/// eigenvalue `mu` of `t`; `eig_scale` is the spectral radius, which sets
-/// the shift perturbation (the perturbation must sit well below the
-/// eigenvalue gaps, which live on the spectrum's scale — not on the scale
-/// of the matrix entries).
-fn inverse_iteration(
-    t: &Mat<Complex64>,
-    mu: Complex64,
-    eig_scale: f64,
-) -> Result<Vec<Complex64>, SympvlError> {
-    let n = t.nrows();
-    // Perturb the shift slightly off the eigenvalue so T - shift*I is
-    // invertible but extremely ill-conditioned in the eigendirection.
-    let scale = eig_scale.max(f64::MIN_POSITIVE);
-    let shift = mu + Complex64::from_real(1e-9 * scale);
-    let a = Mat::from_fn(n, n, |i, j| {
-        let idm = if i == j { shift } else { Complex64::ZERO };
-        t[(i, j)] - idm
-    });
-    let lu = Lu::new(a).map_err(|_| SympvlError::Singular {
-        context: "inverse iteration",
-    })?;
-    let mut v: Vec<Complex64> = (0..n)
-        .map(|i| Complex64::new(1.0 + (i as f64 * 0.611).sin(), (i as f64 * 0.377).cos()))
-        .collect();
-    for _ in 0..3 {
-        v = lu.solve(&v).map_err(|_| SympvlError::Singular {
-            context: "inverse iteration",
-        })?;
-        let nrm = mpvl_la::norm2(&v);
-        for x in &mut v {
-            *x = *x / nrm;
-        }
-    }
-    Ok(v)
 }
 
 #[cfg(test)]
@@ -380,6 +277,42 @@ mod tests {
         }
         // The hunt is heuristic; at minimum the postprocessing ran clean.
         let _ = found_unstable;
+    }
+
+    #[test]
+    fn pole_residue_form_matches_rlc_model_across_band() {
+        // A3's package model at every order A3 runs: with nothing
+        // reflected or dropped, the pole–residue form is a rewrite of Zₙ
+        // and must reproduce it over five decades.
+        let ckt = package(&PackageParams {
+            pins: 12,
+            signal_pins: vec![0, 6],
+            sections: 4,
+            ..PackageParams::default()
+        });
+        let sys = MnaSystem::assemble_general(&ckt).unwrap();
+        let opts = SympvlOptions::new()
+            .with_shift(Shift::Value(2.0 * std::f64::consts::PI * 7e8))
+            .unwrap();
+        let keep_all = PostprocessOptions {
+            residue_tol: 0.0,
+            stability_tol: f64::INFINITY,
+        };
+        for order in [16usize, 32, 48, 64] {
+            let model = sympvl(&sys, order, &opts).unwrap();
+            let pr = stabilize(&model, &keep_all).unwrap();
+            assert_eq!((pr.reflected_poles(), pr.dropped_poles()), (0, 0));
+            let (mut diff, mut scale) = (0.0f64, 0.0f64);
+            for k in 0..40 {
+                let f = 10f64.powf(6.0 + 5.0 * k as f64 / 39.0);
+                let s = Complex64::new(0.0, 2.0 * std::f64::consts::PI * f);
+                let z = model.eval(s).unwrap();
+                diff = diff.max((&pr.eval(s) - &z).max_abs());
+                scale = scale.max(z.max_abs());
+            }
+            let rel = diff / scale;
+            assert!(rel < 1e-9, "order {order}: max|ΔZ|/max|Z| = {rel:.3e}");
+        }
     }
 
     #[test]

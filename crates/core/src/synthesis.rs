@@ -18,9 +18,10 @@
 //!   `rᵢ, λᵢ ≥ 0`, so every element is positive. This is the ref-\[8]
 //!   (SyPVL) procedure the paper points to for the p = 1 RC case.
 
+use crate::eval::{diagonalize, DiagonalizeError};
 use crate::{ReducedModel, SympvlError};
 use mpvl_circuit::Circuit;
-use mpvl_la::{sym_eigen, Lu, Mat, Qr};
+use mpvl_la::{Lu, Mat, Qr};
 
 /// Options for the unstamping synthesis.
 ///
@@ -294,23 +295,19 @@ pub fn foster_synthesis(
         });
     }
     let s0 = model.shift();
-    let tsym = Mat::from_fn(model.order(), model.order(), |i, j| {
-        0.5 * (model.t_matrix()[(i, j)] + model.t_matrix()[(j, i)])
-    });
-    let eig = sym_eigen(&tsym).map_err(|e| SympvlError::Eigen {
-        reason: e.to_string(),
+    // J = I: the symmetric path, so every λₖ is real, every residue
+    // rₖ = (qₖᵀρ)² too, and only the eigensolver can fail.
+    let pr = diagonalize(model).map_err(|e| match e {
+        DiagonalizeError::Eigen(reason) | DiagonalizeError::Basis(reason) => {
+            SympvlError::Eigen { reason }
+        }
     })?;
-    // Residues r_k = (q_kᵀ ρ)².
-    let rho: Vec<f64> = (0..model.order())
-        .map(|i| model.rho_matrix()[(i, 0)])
-        .collect();
     let mut raw = Vec::new();
     let mut total_r = 0.0;
-    for (k, &lambda) in eig.values.iter().enumerate() {
-        let qtr = mpvl_la::dot(eig.vectors.col(k), &rho);
-        let r = qtr * qtr;
+    for (lambda, w) in pr.lambdas.iter().zip(&pr.residues) {
+        let r = w.re;
         total_r += r.abs();
-        raw.push((r, lambda.max(0.0)));
+        raw.push((r, lambda.re.max(0.0)));
     }
     let mut kept: Vec<FosterSection> = Vec::new();
     for (r, lambda) in raw {

@@ -8,7 +8,8 @@ use mpvl_par::with_threads;
 use mpvl_testkit::prop::check;
 use mpvl_testkit::{prop_assert, prop_assert_eq};
 use sympvl::{
-    certify, exact_moments, read_model, sympvl, write_model, Certificate, GFactor, SympvlOptions,
+    certify, exact_moments, read_model, reduce_multipoint, sympvl, write_model, Certificate,
+    GFactor, MultiPointOptions, SympvlOptions,
 };
 
 #[test]
@@ -210,6 +211,39 @@ fn certificate_holds_at_every_order() {
                 }
             }
             Ok(())
+        },
+    );
+}
+
+#[test]
+fn multipoint_merge_keeps_the_certificate() {
+    // The merged multi-point model is a congruence projection of a J = I
+    // pencil, so it keeps J = I and Tₙ ⪰ 0 (§5) whatever the points:
+    // `points` 0 is adaptive placement, 1–3 that many explicit points.
+    check(
+        "multipoint_merge_keeps_the_certificate",
+        24,
+        (0u64..3, 0u64..1000, (1usize..4, 0usize..4)),
+        |&(kind, seed, (ports, points))| {
+            let sys = random_passive(kind, seed, 12, ports);
+            let opts = MultiPointOptions::for_band(1e7, 1e10).map_err(|e| e.to_string())?;
+            let opts = if points == 0 {
+                opts.with_max_points(3)
+            } else {
+                let phase = (seed % 97) as f64 / 97.0;
+                let freqs = (0..points)
+                    .map(|i| 10f64.powf(7.0 + 3.0 * (i as f64 + phase) / points as f64))
+                    .collect();
+                opts.with_points(freqs)
+            }
+            .and_then(|o| o.with_total_order(3 * ports * points.max(2)))
+            .map_err(|e| e.to_string())?;
+            let out = reduce_multipoint(&sys, &opts).map_err(|e| e.to_string())?;
+            prop_assert!(out.model.guarantees_passivity(), "merge lost J = I");
+            match certify(&out.model, 1e-9).map_err(|e| e.to_string())? {
+                Certificate::ProvablyPassive { .. } => Ok(()),
+                other => Err(format!("order {}: {other:?}", out.model.order())),
+            }
         },
     );
 }

@@ -5,43 +5,12 @@
 //! whose `G` is singular (floating capacitor islands — no DC path), the
 //! affected unknowns have no unique DC value and the solve reports it.
 
+use crate::solver::RealSolver;
 use mpvl_circuit::MnaSystem;
-use mpvl_la::{Lu, Mat};
-use mpvl_sparse::{LdltError, NumericLdlt, Ordering};
+use mpvl_la::Mat;
+use mpvl_sparse::LdltError;
 use std::error::Error;
 use std::fmt;
-
-/// A DC solver for `G`: sparse LDLᵀ when the matrix is symmetric and it
-/// factors; dense pivoted LU otherwise (zero diagonal blocks from
-/// inductor-current unknowns, or nonsymmetric `G` from active elements).
-enum DcSolver {
-    Sparse(NumericLdlt<f64>),
-    Dense(Lu<f64>),
-}
-
-impl DcSolver {
-    fn build(sys: &MnaSystem) -> Result<Self, DcError> {
-        if sys.is_symmetric() {
-            if let Ok(f) = NumericLdlt::factor(&sys.g, Ordering::MinDegree) {
-                return Ok(DcSolver::Sparse(f));
-            }
-        }
-        match Lu::new(sys.g.to_dense()) {
-            Ok(lu) => Ok(DcSolver::Dense(lu)),
-            Err(e) => Err(DcError::NoDcPath(LdltError::ZeroPivot {
-                col: e.step,
-                magnitude: 0.0,
-            })),
-        }
-    }
-
-    fn solve(&self, b: &[f64]) -> Vec<f64> {
-        match self {
-            DcSolver::Sparse(f) => f.solve(b),
-            DcSolver::Dense(lu) => lu.solve(b).expect("factored nonsingular"),
-        }
-    }
-}
 
 /// Error from DC analysis.
 #[derive(Debug, Clone, PartialEq)]
@@ -117,7 +86,7 @@ pub fn dc_operating_point(sys: &MnaSystem, u: &[f64]) -> Result<DcPoint, DcError
         });
     }
     assert_eq!(u.len(), sys.num_ports(), "one current per port");
-    let fac = DcSolver::build(sys)?;
+    let fac = RealSolver::factor(&sys.g, sys.is_symmetric()).map_err(DcError::NoDcPath)?;
     let rhs = sys.b.matvec(u);
     let x = fac.solve(&rhs);
     let port_voltages = sys.b.t_matvec(&x);
@@ -136,7 +105,7 @@ pub fn dc_resistance_matrix(sys: &MnaSystem) -> Result<Mat<f64>, DcError> {
             s_power: sys.s_power,
         });
     }
-    let fac = DcSolver::build(sys)?;
+    let fac = RealSolver::factor(&sys.g, sys.is_symmetric()).map_err(DcError::NoDcPath)?;
     let p = sys.num_ports();
     let mut r = Mat::zeros(p, p);
     for j in 0..p {

@@ -21,6 +21,7 @@ mod ac;
 mod dc;
 mod measure;
 mod params;
+mod solver;
 mod transient;
 mod waveform;
 

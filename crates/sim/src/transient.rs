@@ -5,10 +5,11 @@
 //! is factored once and reused for every step, exactly like a SPICE
 //! transient with a constant timestep.
 
+use crate::solver::RealSolver;
 use crate::Waveform;
 use mpvl_circuit::MnaSystem;
 use mpvl_la::Mat;
-use mpvl_sparse::{LdltError, NumericLdlt, Ordering};
+use mpvl_sparse::LdltError;
 use std::error::Error;
 use std::fmt;
 
@@ -137,52 +138,16 @@ pub fn transient(
     let n = sys.dim();
     let start = std::time::Instant::now();
 
-    // Companion matrix K = G + (alpha/h) C; symmetric circuits use the
-    // sparse LDLT, active (VCCS) circuits the dense pivoted LU.
+    // Companion matrix K = G + (alpha/h) C, factored once.
     let alpha = match method {
         Integrator::BackwardEuler => 1.0,
         Integrator::Trapezoidal => 2.0,
     };
     let k = sys.g.add_scaled(1.0, &sys.c, alpha / h);
-    enum Companion {
-        Sparse(NumericLdlt<f64>),
-        /// Symmetric saddle-point fallback: `G + αC` with a structurally
-        /// zero diagonal (e.g. an inductor-only internal node) defeats the
-        /// unpivoted sparse LDLᵀ but factors fine with Bunch–Kaufman —
-        /// the same fallback the reduction's `GFactor` uses.
-        SymDense(mpvl_la::BunchKaufman),
-        Dense(mpvl_la::Lu<f64>),
+    let fac = RealSolver::factor(&k, sys.is_symmetric())?;
+    if matches!(fac, RealSolver::SymDense(_)) {
+        mpvl_obs::counter_add("transient", "dense_fallbacks", 1);
     }
-    impl Companion {
-        fn solve(&self, b: &[f64]) -> Vec<f64> {
-            match self {
-                Companion::Sparse(f) => f.solve(b),
-                Companion::SymDense(bk) => bk.solve(b),
-                Companion::Dense(lu) => lu.solve(b).expect("factored nonsingular"),
-            }
-        }
-    }
-    let fac = if sys.is_symmetric() {
-        match NumericLdlt::factor(&k, Ordering::MinDegree) {
-            Ok(f) => Companion::Sparse(f),
-            Err(sparse_err) => {
-                mpvl_obs::counter_add("transient", "dense_fallbacks", 1);
-                // Keep the *sparse* error if the dense route fails too:
-                // it names the offending pivot.
-                Companion::SymDense(
-                    mpvl_la::BunchKaufman::new(&k.to_dense())
-                        .map_err(|_| TransientError::Factorization(sparse_err))?,
-                )
-            }
-        }
-    } else {
-        Companion::Dense(mpvl_la::Lu::new(k.to_dense()).map_err(|_| {
-            TransientError::Factorization(mpvl_sparse::LdltError::ZeroPivot {
-                col: 0,
-                magnitude: 0.0,
-            })
-        })?)
-    };
 
     let eval_u = |t: f64| -> Vec<f64> { sources.iter().map(|w| w.eval(t)).collect() };
     let bu = |u: &[f64]| -> Vec<f64> { sys.b.matvec(u) };
@@ -241,6 +206,7 @@ pub fn transient(
 mod tests {
     use super::*;
     use mpvl_circuit::{Circuit, GROUND};
+    use mpvl_sparse::{NumericLdlt, Ordering};
 
     fn rc_parallel(r: f64, c: f64) -> MnaSystem {
         let mut ckt = Circuit::new();

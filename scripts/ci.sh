@@ -152,6 +152,14 @@ smoke_bench bench_multipoint multipoint/worst_band_error singlepoint/worst_band_
 smoke_bench bench_bt bt/worst_band_error pade/worst_band_error \
     bt/hankel_spectrum bt/reduce bt/hankel_bound
 
+echo "==> ablations A3 and multi-point (post-processing, certify, explicit multi-point)"
+# They run stabilize, certify and explicit multi-point placement end to
+# end outside the tests; each finishes in well under a second and exits
+# nonzero on any error.
+for bin in ablation_passivity ablation_multipoint; do
+    cargo run -q --release --offline -p mpvl-bench --bin "$bin"
+done
+
 echo "==> bench gate (factor kernel, sweep scaling, compiled eval, registry, multi-point, balanced truncation)"
 # Fails if the supernodal kernel is slower than the scalar kernel at
 # n=1360, if the threads=4 large-case sweep does not beat threads=1
