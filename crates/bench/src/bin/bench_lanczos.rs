@@ -65,7 +65,7 @@ fn main() {
     // `mpvl_sparse::ROW_SOLVE_WIDTH`-column chunks). The outputs are bit-identical.
     let grid = mpvl_bench::rc_grid(201);
     let k = grid.g.add_scaled(1.0, &grid.c, 1e9);
-    let factor = GFactor::factor(&k).expect("factor");
+    let factor = GFactor::factor(&k, k.nrows()).expect("factor");
     let op = KrylovOperator::new(&factor, &grid.c);
     let n = op.dim();
     let x = Mat::from_fn(n, 64, |i, j| ((i * 7 + j * 13) as f64 * 0.37).sin());

@@ -24,7 +24,7 @@
 use crate::{Circuit, Element};
 use std::collections::HashMap;
 use std::error::Error;
-use std::fmt;
+use std::fmt::{self, Write};
 
 /// Error from [`parse_spice`].
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -190,56 +190,50 @@ pub fn parse_value(token: &str) -> Option<f64> {
     mantissa.parse::<f64>().ok().map(|v| v * mult)
 }
 
-/// Writes a circuit as a SPICE `.subckt` block whose pin list is the
-/// circuit's ports (in order), ready to drop into a standard simulator —
-/// the delivery format for synthesized reduced circuits (§6).
-///
-/// Internal nodes are written as `n<k>`; ground stays `0` (global).
-pub fn to_spice_subckt(ckt: &Circuit, name: &str) -> String {
-    let node_name = |n: usize, ports: &[crate::Port]| -> String {
-        if n == 0 {
-            return "0".to_string();
+/// A node as the writers spell it: ground `0`, a subcircuit pin by its
+/// port's name, or `n<k>`.
+#[derive(Clone, Copy)]
+enum NodeName<'a> {
+    Ground,
+    Pin(&'a str),
+    Index(usize),
+}
+
+impl fmt::Display for NodeName<'_> {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        match self {
+            NodeName::Ground => f.write_str("0"),
+            NodeName::Pin(name) => f.write_str(name),
+            NodeName::Index(n) => write!(f, "n{n}"),
         }
-        // Port nodes take the port's name as the pin name.
-        for p in ports {
-            if p.plus == n {
-                return p.name.clone();
-            }
-        }
-        format!("n{n}")
-    };
-    let ports = ckt.ports();
-    let mut out = String::new();
-    let pins: Vec<String> = ports.iter().map(|p| p.name.clone()).collect();
-    out.push_str(&format!(".subckt {name} {}\n", pins.join(" ")));
+    }
+}
+
+/// Writes one line per element of `ckt` into `out`, spelling node `n` as
+/// `node(n)`: the card syntax both writers share.
+fn write_elements<'a>(out: &mut String, ckt: &Circuit, node: impl Fn(usize) -> NodeName<'a>) {
     for e in ckt.elements() {
-        match e {
-            Element::Resistor { name, a, b, ohms } => out.push_str(&format!(
-                "{name} {} {} {:e}\n",
-                node_name(*a, ports),
-                node_name(*b, ports),
-                ohms
-            )),
-            Element::Capacitor { name, a, b, farads } => out.push_str(&format!(
-                "{name} {} {} {:e}\n",
-                node_name(*a, ports),
-                node_name(*b, ports),
-                farads
-            )),
-            Element::Inductor {
+        // Writing to a `String` cannot fail.
+        let _ = match e {
+            Element::Resistor {
                 name,
                 a,
                 b,
-                henries,
-            } => out.push_str(&format!(
-                "{name} {} {} {:e}\n",
-                node_name(*a, ports),
-                node_name(*b, ports),
-                henries
-            )),
-            Element::Mutual { name, l1, l2, k } => {
-                out.push_str(&format!("{name} {l1} {l2} {k:.12e}\n"))
+                ohms: v,
             }
+            | Element::Capacitor {
+                name,
+                a,
+                b,
+                farads: v,
+            }
+            | Element::Inductor {
+                name,
+                a,
+                b,
+                henries: v,
+            } => writeln!(out, "{name} {} {} {v:e}", node(*a), node(*b)),
+            Element::Mutual { name, l1, l2, k } => writeln!(out, "{name} {l1} {l2} {k:.12e}"),
             Element::Vccs {
                 name,
                 out_a,
@@ -247,17 +241,50 @@ pub fn to_spice_subckt(ckt: &Circuit, name: &str) -> String {
                 cp,
                 cm,
                 gm,
-            } => out.push_str(&format!(
-                "{name} {} {} {} {} {:e}\n",
-                node_name(*out_a, ports),
-                node_name(*out_b, ports),
-                node_name(*cp, ports),
-                node_name(*cm, ports),
-                gm
-            )),
-        }
+            } => writeln!(
+                out,
+                "{name} {} {} {} {} {gm:e}",
+                node(*out_a),
+                node(*out_b),
+                node(*cp),
+                node(*cm)
+            ),
+        };
     }
-    out.push_str(&format!(".ends {name}\n"));
+}
+
+/// A `String` sized for the canonical text of `ckt` (about 40 bytes a
+/// card), so writing it rarely reallocates.
+fn text_buffer(ckt: &Circuit) -> String {
+    String::with_capacity(64 + 40 * (ckt.elements().len() + ckt.ports().len()))
+}
+
+/// Writes a circuit as a SPICE `.subckt` block whose pin list is the
+/// circuit's ports (in order), ready to drop into a standard simulator —
+/// the delivery format for synthesized reduced circuits (§6).
+///
+/// Internal nodes are written as `n<k>`; ground stays `0` (global).
+pub fn to_spice_subckt(ckt: &Circuit, name: &str) -> String {
+    let ports = ckt.ports();
+    // A port node takes the name of the first port whose plus terminal
+    // it is.
+    let mut pins: Vec<Option<&str>> = vec![None; ckt.num_nodes()];
+    for p in ports.iter().rev() {
+        pins[p.plus] = Some(&p.name);
+    }
+    let mut out = text_buffer(ckt);
+    let _ = write!(out, ".subckt {name}");
+    for p in ports {
+        out.push(' ');
+        out.push_str(&p.name);
+    }
+    out.push('\n');
+    write_elements(&mut out, ckt, |n| match (n, pins[n]) {
+        (0, _) => NodeName::Ground,
+        (_, Some(pin)) => NodeName::Pin(pin),
+        (_, None) => NodeName::Index(n),
+    });
+    let _ = writeln!(out, ".ends {name}");
     out
 }
 
@@ -266,73 +293,15 @@ pub fn to_spice_subckt(ckt: &Circuit, name: &str) -> String {
 /// Node indices are written as `n<k>` (ground as `0`), so the output
 /// round-trips through the parser up to node naming.
 pub fn to_spice(ckt: &Circuit) -> String {
-    let mut out = String::new();
-    let node_name = |n: usize| {
-        if n == 0 {
-            "0".to_string()
-        } else {
-            format!("n{n}")
-        }
+    let node = |n: usize| match n {
+        0 => NodeName::Ground,
+        _ => NodeName::Index(n),
     };
+    let mut out = text_buffer(ckt);
     out.push_str("* netlist written by mpvl-circuit\n");
-    for e in ckt.elements() {
-        match e {
-            Element::Resistor { name, a, b, ohms } => {
-                out.push_str(&format!(
-                    "{name} {} {} {:e}\n",
-                    node_name(*a),
-                    node_name(*b),
-                    ohms
-                ));
-            }
-            Element::Capacitor { name, a, b, farads } => {
-                out.push_str(&format!(
-                    "{name} {} {} {:e}\n",
-                    node_name(*a),
-                    node_name(*b),
-                    farads
-                ));
-            }
-            Element::Inductor {
-                name,
-                a,
-                b,
-                henries,
-            } => {
-                out.push_str(&format!(
-                    "{name} {} {} {:e}\n",
-                    node_name(*a),
-                    node_name(*b),
-                    henries
-                ));
-            }
-            Element::Mutual { name, l1, l2, k } => {
-                out.push_str(&format!("{name} {l1} {l2} {k:.12e}\n"));
-            }
-            Element::Vccs {
-                name,
-                out_a,
-                out_b,
-                cp,
-                cm,
-                gm,
-            } => out.push_str(&format!(
-                "{name} {} {} {} {} {:e}\n",
-                node_name(*out_a),
-                node_name(*out_b),
-                node_name(*cp),
-                node_name(*cm),
-                gm
-            )),
-        }
-    }
+    write_elements(&mut out, ckt, node);
     for p in ckt.ports() {
-        out.push_str(&format!(
-            "{} {} {}\n",
-            p.name,
-            node_name(p.plus),
-            node_name(p.minus)
-        ));
+        let _ = writeln!(out, "{} {} {}", p.name, node(p.plus), node(p.minus));
     }
     out.push_str(".end\n");
     out

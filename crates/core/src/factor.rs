@@ -4,11 +4,14 @@
 //! the semidefinite RC/RL/LC matrices and the quasi-definite shifted RLC
 //! matrices) and a dense Bunch–Kaufman fallback for the rare structurally
 //! awkward cases (e.g. nodes touched only by inductors, where unpivoted
-//! elimination can hit a zero pivot).
+//! elimination can hit a zero pivot). Between the two sits an O(nnz)
+//! test for node voltages with no DC path to ground: such a `G` is
+//! singular whatever the pivoting, so it fails at once instead of
+//! paying for an O(N³) dense attempt the shift policy would discard.
 
 use crate::SympvlError;
 use mpvl_la::{BunchKaufman, Mat, MjFactor};
-use mpvl_sparse::{CscMat, NumericLdlt, Ordering, ROW_SOLVE_WIDTH};
+use mpvl_sparse::{CscMat, NumericLdlt, Ordering, BREAKDOWN_RTOL, ROW_SOLVE_WIDTH};
 
 /// A factorization of a symmetric matrix `G` as `M J Mᵀ` with
 /// `J = diag(±1)`, exposing the operations the Lanczos process needs:
@@ -29,14 +32,27 @@ pub enum GFactor {
 }
 
 impl GFactor {
-    /// Factors `g`, preferring the sparse path.
+    /// Factors `g`, preferring the sparse path. The first
+    /// `num_node_unknowns` unknowns are node voltages and the rest
+    /// inductor currents (`MnaSystem::num_node_unknowns`); a bare matrix
+    /// passes `g.nrows()`.
     ///
     /// # Errors
     ///
-    /// Returns [`SympvlError::Factorization`] when both the sparse LDLᵀ and
-    /// the dense Bunch–Kaufman factorization fail (singular `G`; apply a
-    /// frequency shift per eq. 26 and retry).
-    pub fn factor(g: &CscMat<f64>) -> Result<Self, SympvlError> {
+    /// Returns [`SympvlError::Factorization`] when the sparse LDLᵀ fails
+    /// and either some node voltages float (a connected group of `G`'s
+    /// graph with no DC path to ground, named in the reason) or the dense
+    /// Bunch–Kaufman factorization fails too. Either way `G` is singular;
+    /// apply a frequency shift per eq. 26 and retry.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `num_node_unknowns > g.nrows()`.
+    pub fn factor(g: &CscMat<f64>, num_node_unknowns: usize) -> Result<Self, SympvlError> {
+        assert!(
+            num_node_unknowns <= g.nrows(),
+            "more node voltages than unknowns"
+        );
         match NumericLdlt::factor(g, Ordering::MinDegree) {
             Ok(fac) => {
                 let sqrt_d: Vec<f64> = fac.d().iter().map(|&v| v.abs().sqrt()).collect();
@@ -48,6 +64,15 @@ impl GFactor {
                 })
             }
             Err(sparse_err) => {
+                let (groups, floating) = floating_node_voltages(g, num_node_unknowns);
+                if floating > 0 {
+                    return Err(SympvlError::Factorization {
+                        reason: format!(
+                            "sparse: {sparse_err}; {floating} node voltages in {groups} \
+                             group(s) have no DC path to ground"
+                        ),
+                    });
+                }
                 let bk =
                     BunchKaufman::new(&g.to_dense()).map_err(|e| SympvlError::Factorization {
                         reason: format!("sparse: {sparse_err}; dense: {e}"),
@@ -329,9 +354,55 @@ impl GFactor {
     }
 }
 
+/// Counts the node voltages `g` leaves floating, as `(groups, node
+/// voltages)`. A group is a connected component of `g`'s graph; let `u`
+/// be its indicator on the node-voltage unknowns (the first
+/// `num_node_unknowns`), zero on the inductor currents. When every row
+/// of `g·u` is within the sparse factor's breakdown floor, `u` is a null
+/// vector — the group has no DC path to ground — and `g` is singular
+/// whatever its form. Components share no entries, so one product with
+/// the indicator of all node voltages yields every group's `g·u` at
+/// once: O(nnz) in all.
+fn floating_node_voltages(g: &CscMat<f64>, num_node_unknowns: usize) -> (usize, usize) {
+    fn root(parent: &mut [usize], mut i: usize) -> usize {
+        while parent[i] != i {
+            parent[i] = parent[parent[i]];
+            i = parent[i];
+        }
+        i
+    }
+    let n = g.nrows();
+    let mut parent: Vec<usize> = (0..n).collect();
+    for j in 0..n {
+        for &i in g.col_entries(j).0 {
+            let (a, b) = (root(&mut parent, i), root(&mut parent, j));
+            parent[a.max(b)] = a.min(b);
+        }
+    }
+    let u: Vec<f64> = (0..n)
+        .map(|i| f64::from(u8::from(i < num_node_unknowns)))
+        .collect();
+    let gu = g.matvec(&u);
+    let max_abs = g.values().iter().fold(0.0_f64, |m, v| m.max(v.abs()));
+    let floor = BREAKDOWN_RTOL * max_abs.max(f64::MIN_POSITIVE);
+    let mut nodes = vec![0usize; n];
+    let mut grounded = vec![false; n];
+    for (i, v) in gu.iter().enumerate() {
+        let r = root(&mut parent, i);
+        nodes[r] += usize::from(i < num_node_unknowns);
+        // A NaN row proves nothing: it leaves the group to the dense path.
+        grounded[r] |= v.abs() > floor || v.is_nan();
+    }
+    (0..n)
+        .filter(|&r| parent[r] == r && nodes[r] > 0 && !grounded[r])
+        .fold((0, 0), |(groups, count), r| (groups + 1, count + nodes[r]))
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
+    use mpvl_circuit::generators::{package, rc_ladder, PackageParams};
+    use mpvl_circuit::MnaSystem;
     use mpvl_sparse::TripletMat;
 
     fn check_mjm(g: &CscMat<f64>, f: &GFactor) {
@@ -361,7 +432,7 @@ mod tests {
             }
         }
         let g = t.to_csc();
-        let f = GFactor::factor(&g).unwrap();
+        let f = GFactor::factor(&g, g.nrows()).unwrap();
         assert!(matches!(f, GFactor::Sparse { .. }));
         assert!(f.is_identity_j());
         check_mjm(&g, &f);
@@ -377,7 +448,7 @@ mod tests {
             t.push_sym(i, 3 + i, 1.0);
         }
         let g = t.to_csc();
-        let f = GFactor::factor(&g).unwrap();
+        let f = GFactor::factor(&g, g.nrows()).unwrap();
         assert!(!f.is_identity_j());
         let j = f.j_diag();
         assert_eq!(j.iter().filter(|&&s| s > 0.0).count(), 3);
@@ -394,7 +465,7 @@ mod tests {
         t.push(0, 0, 1.0);
         // node 1 and 2 diagonals zero
         let g = t.to_csc();
-        let f = GFactor::factor(&g).unwrap();
+        let f = GFactor::factor(&g, g.nrows()).unwrap();
         assert!(matches!(f, GFactor::Dense(_)));
         check_mjm(&g, &f);
     }
@@ -409,7 +480,7 @@ mod tests {
             t.push_sym(i, 4 + i, 1.0);
         }
         let g = t.to_csc();
-        let f = GFactor::factor(&g).unwrap();
+        let f = GFactor::factor(&g, g.nrows()).unwrap();
         assert!(matches!(f, GFactor::Sparse { .. }));
         let x = Mat::from_fn(8, 3, |i, j| ((i * 5 + j) as f64 * 0.2).sin());
         let blocked = f.apply_minv_mat(&x);
@@ -418,11 +489,103 @@ mod tests {
         }
     }
 
+    /// The reason a floating-group rejection gives, or a panic naming
+    /// what came back instead. A reason that names no dense attempt
+    /// shows `GFactor::factor` stopped before building a dense matrix.
+    fn floating_reason(f: Result<GFactor, SympvlError>) -> String {
+        match f {
+            Err(SympvlError::Factorization { reason }) => {
+                assert!(!reason.contains("dense"), "{reason}");
+                reason
+            }
+            Err(e) => panic!("expected a Factorization error, got {e}"),
+            Ok(f) => panic!(
+                "expected a Factorization error, got a factor of dim {}",
+                f.dim()
+            ),
+        }
+    }
+
+    #[test]
+    fn floating_rc_ladder_fails_before_the_dense_path() {
+        // No resistor reaches ground: the 13 node voltages form one group.
+        let sys = MnaSystem::assemble(&rc_ladder(12, 100.0, 1e-12)).unwrap();
+        assert_eq!(
+            floating_node_voltages(&sys.g, sys.num_node_unknowns),
+            (1, 13)
+        );
+        let reason = floating_reason(GFactor::factor(&sys.g, sys.num_node_unknowns));
+        assert!(
+            reason.contains("13 node voltages in 1 group(s) have no DC path to ground"),
+            "{reason}"
+        );
+    }
+
+    #[test]
+    fn floating_package_signal_pins_fail_before_the_dense_path() {
+        // General form: the inductor currents follow the node voltages.
+        // Each signal pin is an R–L chain with only capacitors to ground
+        // (2·3 + 1 = 7 node voltages); the other pins end in `Rterm`.
+        let ckt = package(&PackageParams {
+            pins: 4,
+            signal_pins: vec![0, 2],
+            sections: 3,
+            ..PackageParams::default()
+        });
+        let sys = MnaSystem::assemble_general(&ckt).unwrap();
+        assert!(sys.num_node_unknowns < sys.dim());
+        assert_eq!(
+            floating_node_voltages(&sys.g, sys.num_node_unknowns),
+            (2, 14)
+        );
+        let reason = floating_reason(GFactor::factor(&sys.g, sys.num_node_unknowns));
+        assert!(
+            reason.contains("14 node voltages in 2 group(s)"),
+            "{reason}"
+        );
+    }
+
+    #[test]
+    fn grounded_group_is_not_flagged_and_factors_sparse() {
+        // A laplacian of a floating 3-node path, tied to ground at node 2
+        // by `tie`: above the breakdown floor it is grounded, below it the
+        // group still floats.
+        let path = |tie: f64| {
+            let mut t = TripletMat::new(3, 3);
+            for (a, b) in [(0, 1), (1, 2)] {
+                t.push(a, a, 1.0);
+                t.push(b, b, 1.0);
+                t.push_sym(a, b, -1.0);
+            }
+            t.push(2, 2, tie);
+            t.to_csc()
+        };
+        assert_eq!(floating_node_voltages(&path(0.0), 3), (1, 3));
+        assert_eq!(floating_node_voltages(&path(1e-15), 3), (1, 3));
+        for tie in [1e-10, 1e-3] {
+            let g = path(tie);
+            assert_eq!(floating_node_voltages(&g, 3), (0, 0), "tie {tie}");
+            let f = GFactor::factor(&g, 3).unwrap();
+            assert!(matches!(f, GFactor::Sparse { .. }), "tie {tie}");
+        }
+        check_mjm(&path(1e-3), &GFactor::factor(&path(1e-3), 3).unwrap());
+        // The rc_ladder with a resistor from its far end to ground.
+        let mut ckt = rc_ladder(12, 100.0, 1e-12);
+        ckt.add_resistor("Rgnd", 13, mpvl_circuit::GROUND, 1e3);
+        let sys = MnaSystem::assemble(&ckt).unwrap();
+        assert_eq!(
+            floating_node_voltages(&sys.g, sys.num_node_unknowns),
+            (0, 0)
+        );
+        let f = GFactor::factor(&sys.g, sys.num_node_unknowns).unwrap();
+        assert!(matches!(f, GFactor::Sparse { .. }) && f.is_identity_j());
+    }
+
     #[test]
     fn reports_singular() {
         let g = CscMat::<f64>::zero(3, 3);
         assert!(matches!(
-            GFactor::factor(&g),
+            GFactor::factor(&g, 3),
             Err(SympvlError::Factorization { .. })
         ));
     }

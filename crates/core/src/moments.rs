@@ -24,7 +24,7 @@ pub fn exact_moments(sys: &MnaSystem, s0: f64, count: usize) -> Result<Vec<Mat<f
     } else {
         sys.g.add_scaled(1.0, &sys.c, s0)
     };
-    let factor = GFactor::factor(&shifted)?;
+    let factor = GFactor::factor(&shifted, sys.num_node_unknowns)?;
     let n = sys.dim();
     let p = sys.num_ports();
     let mut out = Vec::with_capacity(count);

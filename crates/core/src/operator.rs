@@ -115,7 +115,7 @@ mod tests {
     #[test]
     fn scalar_apply_matches_legacy_composition() {
         let (g, c) = quasi_definite(10);
-        let f = GFactor::factor(&g).unwrap();
+        let f = GFactor::factor(&g, g.nrows()).unwrap();
         let op = KrylovOperator::new(&f, &c);
         let x: Vec<f64> = (0..10).map(|i| ((i * 3) as f64 * 0.37).sin()).collect();
         let mut got = vec![0.0; 10];
@@ -130,7 +130,7 @@ mod tests {
     #[test]
     fn block_apply_is_bit_identical_to_scalar_apply() {
         let (g, c) = quasi_definite(12);
-        let f = GFactor::factor(&g).unwrap();
+        let f = GFactor::factor(&g, g.nrows()).unwrap();
         let op = KrylovOperator::new(&f, &c);
         let x = Mat::from_fn(12, 5, |i, j| ((i * 7 + j * 11) as f64 * 0.23).cos());
         let mut blocked = Mat::zeros(12, 5);

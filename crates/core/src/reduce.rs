@@ -178,10 +178,10 @@ pub enum FactorTarget {
 /// Session caches wrap this to interpose per-target memoization.
 pub fn factor_target(sys: &MnaSystem, target: FactorTarget) -> Result<Arc<GFactor>, SympvlError> {
     match target {
-        FactorTarget::Unshifted => GFactor::factor(&sys.g).map(Arc::new),
+        FactorTarget::Unshifted => GFactor::factor(&sys.g, sys.num_node_unknowns).map(Arc::new),
         FactorTarget::Shifted(s0) => {
             let shifted = sys.g.add_scaled(1.0, &sys.c, s0);
-            GFactor::factor(&shifted).map(Arc::new)
+            GFactor::factor(&shifted, sys.num_node_unknowns).map(Arc::new)
         }
     }
 }

@@ -56,7 +56,7 @@ fn assert_same_bits(got: &[f64], want: &[f64], what: &str) {
 
 fn check_block_widths(sys: &MnaSystem) {
     let k = sys.g.add_scaled(1.0, &sys.c, 1e9);
-    let factor = GFactor::factor(&k).expect("factor");
+    let factor = GFactor::factor(&k, k.nrows()).expect("factor");
     assert!(matches!(factor, GFactor::Sparse { .. }));
     let op = KrylovOperator::new(&factor, &sys.c);
     let n = op.dim();
@@ -172,7 +172,8 @@ fn assert_mat_bits(a: &Mat<f64>, b: &Mat<f64>, what: &str) {
 #[test]
 fn resumed_run_matches_one_run_and_applies_each_vector_once() {
     let sys = rc_grid(24, 24, 8);
-    let factor = GFactor::factor(&sys.g.add_scaled(1.0, &sys.c, 1e9)).expect("factor");
+    let factor = GFactor::factor(&sys.g.add_scaled(1.0, &sys.c, 1e9), sys.num_node_unknowns)
+        .expect("factor");
     assert!(factor.is_identity_j());
     let j_diag = factor.j_diag();
     let start = factor.apply_minv_mat(&sys.b);

@@ -93,9 +93,10 @@ fn gfactor_counters_are_pinned() {
     // perfbench's traced run checks the program's counters against its
     // own replay of `GFactor::factor`: one symbolic analysis and one
     // numeric pass per factor, whether the sparse pass succeeds, breaks
-    // down into the dense Bunch–Kaufman fallback, or fails outright.
+    // down into the dense Bunch–Kaufman fallback, or fails on floating
+    // node voltages.
     let counts = |g: &CscMat<f64>| {
-        let (f, cap) = mpvl_obs::capture(|| GFactor::factor(g));
+        let (f, cap) = mpvl_obs::capture(|| GFactor::factor(g, g.nrows()));
         let counts = ["symbolic_analyze", "numeric_refactor", "zero_pivots"]
             .map(|name| cap.counter("ldlt", name));
         (f, counts)
@@ -120,8 +121,9 @@ fn gfactor_counters_are_pinned() {
     assert!(matches!(f.expect("dense fallback"), GFactor::Dense(_)));
     assert_eq!(n, [1, 1, 1]);
 
-    // The ladder's unshifted G has no DC path to ground: both the sparse
-    // and the dense factorization fail, still after one of each pass.
+    // The ladder's unshifted G has no DC path to ground: the sparse pass
+    // breaks down once and the floating-group check fails it before any
+    // dense attempt.
     let (f, n) = counts(&sys.g);
     assert!(f.is_err(), "the ladder's G is singular");
     assert_eq!(n, [1, 1, 1]);

@@ -110,7 +110,7 @@ fn blocked_minv_appliers_are_bit_identical_to_columnwise() {
             // is what the bit-identity guarantee of the Lanczos rework
             // rests on.
             let sys = MnaSystem::assemble(&random_rc(seed, 14, 2)).unwrap();
-            let factor = GFactor::factor(&sys.g).unwrap();
+            let factor = GFactor::factor(&sys.g, sys.num_node_unknowns).unwrap();
             let n = sys.dim();
             let x = Mat::from_fn(n, ncols, |i, j| {
                 (((seed as usize + i * 31 + j * 17) % 97) as f64 * 0.021).sin()
@@ -147,7 +147,7 @@ fn blocked_minv_appliers_are_thread_count_invariant() {
             // worker count: each column runs the identical serial kernel,
             // and chunks are contiguous and index-ordered.
             let sys = MnaSystem::assemble(&random_rc(seed, 18, 3)).unwrap();
-            let factor = GFactor::factor(&sys.g).unwrap();
+            let factor = GFactor::factor(&sys.g, sys.num_node_unknowns).unwrap();
             let n = sys.dim();
             let x = Mat::from_fn(n, 5, |i, j| {
                 (((seed as usize + i * 13 + j * 41) % 89) as f64 * 0.037).cos()
@@ -298,7 +298,7 @@ fn gfactor_is_an_mjm_factorization_of_g() {
                 sys.g
                     .add_scaled(1.0, &sys.c, 2.0 * std::f64::consts::PI * 5e8)
             };
-            let factor = GFactor::factor(&g).map_err(|e| e.to_string())?;
+            let factor = GFactor::factor(&g, g.nrows()).map_err(|e| e.to_string())?;
             let GFactor::Sparse { fac, .. } = &factor else {
                 return Err("sparse LDLT fell back to the dense factor".into());
             };

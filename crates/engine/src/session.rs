@@ -1112,4 +1112,39 @@ mod tests {
             SympvlError::ModelEvicted { id: 1 }
         );
     }
+
+    #[test]
+    fn unshifted_reduction_of_a_floating_ladder_is_a_typed_error() {
+        // A 30-section RC ladder with graded resistors and no path to
+        // ground. The graded values keep G's rounded row sums off zero,
+        // so dense Bunch–Kaufman would return a factor whose smallest
+        // pivot is ≈1e-16 of the largest; under `Shift::None` the
+        // floating-group check rejects G before that attempt.
+        // `Shift::Auto` expands at s₀ > 0.
+        let mut ckt = mpvl_circuit::Circuit::new();
+        let mut prev = ckt.add_node();
+        ckt.add_port("in", prev, mpvl_circuit::GROUND);
+        for k in 0..30 {
+            let next = ckt.add_node();
+            ckt.add_resistor(&format!("R{k}"), prev, next, 100.0 + 7.3 * k as f64);
+            ckt.add_capacitor(&format!("C{k}"), next, mpvl_circuit::GROUND, 1e-12);
+            prev = next;
+        }
+        let session = ReductionSession::new(MnaSystem::assemble(&ckt).unwrap());
+        let none = ReduceSpec::pade_fixed(4)
+            .unwrap()
+            .with_shift(Shift::None)
+            .unwrap();
+        match session.reduce(&none) {
+            Err(SympvlError::Factorization { reason }) => {
+                assert!(
+                    reason.contains("31 node voltages in 1 group(s)"),
+                    "{reason}"
+                );
+            }
+            other => panic!("expected a Factorization error, got {other:?}"),
+        }
+        let auto = session.reduce(&ReduceSpec::pade_fixed(4).unwrap()).unwrap();
+        assert!(auto.model.shift() > 0.0);
+    }
 }

@@ -5,8 +5,11 @@
 //! hash would let two different circuits share a persisted model) and
 //! stable across processes and platforms (the registry survives
 //! restarts). The workspace is dependency-free by policy, so the
-//! standard construction is written out here — about eighty lines —
-//! and pinned against the FIPS test vectors.
+//! standard construction is written out here — about a hundred lines —
+//! and pinned against the FIPS test vectors. It is incremental, so the
+//! service hashes a netlist once and forks the state for its two keys.
+
+use std::fmt::Write;
 
 /// First 32 bits of the fractional parts of the cube roots of the
 /// first 64 primes (the round constants `K`).
@@ -21,65 +24,126 @@ const K: [u32; 64] = [
     0x748f82ee, 0x78a5636f, 0x84c87814, 0x8cc70208, 0x90befffa, 0xa4506ceb, 0xbef9a3f7, 0xc67178f2,
 ];
 
+/// Initial hash: fractional parts of the square roots of the first
+/// eight primes.
+const H0: [u32; 8] = [
+    0x6a09e667, 0xbb67ae85, 0x3c6ef372, 0xa54ff53a, 0x510e527f, 0x9b05688c, 0x1f83d9ab, 0x5be0cd19,
+];
+
+/// An incremental SHA-256: feed the message in any number of
+/// [`Sha256::update`] calls, fork a shared prefix with `clone`, and read
+/// the digest with [`Sha256::finish_hex`]. Any split of a message gives
+/// the digest of the whole.
+#[derive(Clone)]
+pub(crate) struct Sha256 {
+    h: [u32; 8],
+    /// The partial block not yet compressed (`buf[..buf_len]`).
+    buf: [u8; 64],
+    buf_len: usize,
+    /// Message length so far, in bytes.
+    len: u64,
+}
+
+impl Sha256 {
+    pub(crate) fn new() -> Self {
+        Sha256 {
+            h: H0,
+            buf: [0; 64],
+            buf_len: 0,
+            len: 0,
+        }
+    }
+
+    /// Appends `data` to the message.
+    pub(crate) fn update(&mut self, mut data: &[u8]) {
+        self.len += data.len() as u64;
+        if self.buf_len > 0 {
+            let take = (64 - self.buf_len).min(data.len());
+            self.buf[self.buf_len..self.buf_len + take].copy_from_slice(&data[..take]);
+            self.buf_len += take;
+            data = &data[take..];
+            if self.buf_len < 64 {
+                return;
+            }
+            compress(&mut self.h, &self.buf);
+            self.buf_len = 0;
+        }
+        let mut blocks = data.chunks_exact(64);
+        for block in &mut blocks {
+            compress(&mut self.h, block);
+        }
+        let rest = blocks.remainder();
+        self.buf[..rest.len()].copy_from_slice(rest);
+        self.buf_len = rest.len();
+    }
+
+    /// The digest of the message, as 64 lowercase hex characters.
+    pub(crate) fn finish_hex(mut self) -> String {
+        // Pad: 0x80, zeros to 56 mod 64, then the bit length big-endian.
+        let bits = self.len.wrapping_mul(8);
+        self.buf[self.buf_len] = 0x80;
+        self.buf_len += 1;
+        if self.buf_len > 56 {
+            self.buf[self.buf_len..].fill(0);
+            compress(&mut self.h, &self.buf);
+            self.buf_len = 0;
+        }
+        self.buf[self.buf_len..56].fill(0);
+        self.buf[56..].copy_from_slice(&bits.to_be_bytes());
+        compress(&mut self.h, &self.buf);
+        let mut hex = String::with_capacity(64);
+        for v in self.h {
+            write!(hex, "{v:08x}").expect("writing to a String cannot fail");
+        }
+        hex
+    }
+}
+
 /// The SHA-256 digest of `data`, as 64 lowercase hex characters.
 pub fn sha256_hex(data: &[u8]) -> String {
-    // Initial hash: fractional parts of the square roots of the first
-    // eight primes.
-    let mut h: [u32; 8] = [
-        0x6a09e667, 0xbb67ae85, 0x3c6ef372, 0xa54ff53a, 0x510e527f, 0x9b05688c, 0x1f83d9ab,
-        0x5be0cd19,
-    ];
-    // Pad: 0x80, zeros to 56 mod 64, then the bit length big-endian.
-    let mut msg = data.to_vec();
-    msg.push(0x80);
-    while msg.len() % 64 != 56 {
-        msg.push(0);
-    }
-    msg.extend_from_slice(&((data.len() as u64) * 8).to_be_bytes());
+    let mut state = Sha256::new();
+    state.update(data);
+    state.finish_hex()
+}
 
+/// One round of the compression function over a 64-byte `block`.
+fn compress(h: &mut [u32; 8], block: &[u8]) {
     let mut w = [0u32; 64];
-    for block in msg.chunks_exact(64) {
-        for (t, word) in block.chunks_exact(4).enumerate() {
-            w[t] = u32::from_be_bytes([word[0], word[1], word[2], word[3]]);
-        }
-        for t in 16..64 {
-            let s0 = w[t - 15].rotate_right(7) ^ w[t - 15].rotate_right(18) ^ (w[t - 15] >> 3);
-            let s1 = w[t - 2].rotate_right(17) ^ w[t - 2].rotate_right(19) ^ (w[t - 2] >> 10);
-            w[t] = w[t - 16]
-                .wrapping_add(s0)
-                .wrapping_add(w[t - 7])
-                .wrapping_add(s1);
-        }
-        let [mut a, mut b, mut c, mut d, mut e, mut f, mut g, mut hh] = h;
-        for t in 0..64 {
-            let big_s1 = e.rotate_right(6) ^ e.rotate_right(11) ^ e.rotate_right(25);
-            let ch = (e & f) ^ (!e & g);
-            let temp1 = hh
-                .wrapping_add(big_s1)
-                .wrapping_add(ch)
-                .wrapping_add(K[t])
-                .wrapping_add(w[t]);
-            let big_s0 = a.rotate_right(2) ^ a.rotate_right(13) ^ a.rotate_right(22);
-            let maj = (a & b) ^ (a & c) ^ (b & c);
-            let temp2 = big_s0.wrapping_add(maj);
-            hh = g;
-            g = f;
-            f = e;
-            e = d.wrapping_add(temp1);
-            d = c;
-            c = b;
-            b = a;
-            a = temp1.wrapping_add(temp2);
-        }
-        for (hi, v) in h.iter_mut().zip([a, b, c, d, e, f, g, hh]) {
-            *hi = hi.wrapping_add(v);
-        }
+    for (t, word) in block.chunks_exact(4).enumerate() {
+        w[t] = u32::from_be_bytes([word[0], word[1], word[2], word[3]]);
     }
-    let mut hex = String::with_capacity(64);
-    for v in h {
-        hex.push_str(&format!("{v:08x}"));
+    for t in 16..64 {
+        let s0 = w[t - 15].rotate_right(7) ^ w[t - 15].rotate_right(18) ^ (w[t - 15] >> 3);
+        let s1 = w[t - 2].rotate_right(17) ^ w[t - 2].rotate_right(19) ^ (w[t - 2] >> 10);
+        w[t] = w[t - 16]
+            .wrapping_add(s0)
+            .wrapping_add(w[t - 7])
+            .wrapping_add(s1);
     }
-    hex
+    let [mut a, mut b, mut c, mut d, mut e, mut f, mut g, mut hh] = *h;
+    for t in 0..64 {
+        let big_s1 = e.rotate_right(6) ^ e.rotate_right(11) ^ e.rotate_right(25);
+        let ch = (e & f) ^ (!e & g);
+        let temp1 = hh
+            .wrapping_add(big_s1)
+            .wrapping_add(ch)
+            .wrapping_add(K[t])
+            .wrapping_add(w[t]);
+        let big_s0 = a.rotate_right(2) ^ a.rotate_right(13) ^ a.rotate_right(22);
+        let maj = (a & b) ^ (a & c) ^ (b & c);
+        let temp2 = big_s0.wrapping_add(maj);
+        hh = g;
+        g = f;
+        f = e;
+        e = d.wrapping_add(temp1);
+        d = c;
+        c = b;
+        b = a;
+        a = temp1.wrapping_add(temp2);
+    }
+    for (hi, v) in h.iter_mut().zip([a, b, c, d, e, f, g, hh]) {
+        *hi = hi.wrapping_add(v);
+    }
 }
 
 #[cfg(test)]
@@ -112,6 +176,50 @@ mod tests {
             let hex = sha256_hex(&data);
             assert_eq!(hex.len(), 64);
             assert_ne!(hex, sha256_hex(&vec![0x61u8; n + 1]));
+        }
+    }
+
+    #[test]
+    fn incremental_equals_one_shot_at_every_split() {
+        let data: Vec<u8> = (0..130u32).map(|i| (i * 37 + 11) as u8).collect();
+        for len in [0, 1, 55, 56, 63, 64, 65, 127, 128, 130] {
+            let msg = &data[..len];
+            let whole = sha256_hex(msg);
+            for split in 0..=len {
+                let mut state = Sha256::new();
+                state.update(&msg[..split]);
+                state.update(&msg[split..]);
+                assert_eq!(state.finish_hex(), whole, "len {len}, split {split}");
+            }
+        }
+        // Every split of the full 130 bytes, also fed in three pieces.
+        let whole = sha256_hex(&data);
+        for split in 0..=data.len() {
+            let mut state = Sha256::new();
+            let (a, b) = data.split_at(split);
+            state.update(a);
+            state.update(&b[..b.len() / 2]);
+            state.update(&b[b.len() / 2..]);
+            assert_eq!(state.finish_hex(), whole, "split {split}");
+        }
+    }
+
+    #[test]
+    fn forked_prefix_equals_one_shot() {
+        // The service's two addresses: the prefix alone, and the prefix
+        // followed by a separator and a suffix, from one shared state.
+        let prefix = vec![b'x'; 100];
+        let mut state = Sha256::new();
+        state.update(&prefix);
+        let fork = state.clone();
+        assert_eq!(fork.finish_hex(), sha256_hex(&prefix));
+        for suffix in [&b""[..], b"\0", b"\0order fixed 8\nshift auto\n"] {
+            let mut keyed = state.clone();
+            keyed.update(suffix);
+            assert_eq!(
+                keyed.finish_hex(),
+                sha256_hex(&[&prefix[..], suffix].concat())
+            );
         }
     }
 }

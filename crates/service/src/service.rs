@@ -18,9 +18,9 @@
 //! brick the service.
 
 use crate::error::ServiceError;
-use crate::hash::sha256_hex;
+use crate::hash::Sha256;
 use crate::registry::ModelRegistry;
-use mpvl_circuit::{parse_spice, to_spice, MnaSystem};
+use mpvl_circuit::{parse_spice, to_spice, Circuit, MnaSystem};
 use mpvl_engine::{
     AdaptiveInfo, Backend, BalancedInfo, CrossValidation, EvalPoint, EvalRequest, ModelId,
     MultiPointInfo, OrderSpec, ReduceSpec, ReductionSession, SessionOptions, Want,
@@ -184,10 +184,11 @@ impl ServiceRequest {
                 reason: "netlist declares no ports (add `P<name> <node+> <node->` cards)".into(),
             });
         }
-        let canonical = to_spice(&ckt);
-        let shard_hex = sha256_hex(canonical.as_bytes());
-        let key_hex =
-            sha256_hex(format!("{canonical}\x00{}", canonical_reduction(&spec)).as_bytes());
+        let (canonical, mut state) = canonical_hash(&ckt);
+        let shard_hex = state.clone().finish_hex();
+        state.update(b"\0");
+        state.update(canonical_reduction(&spec).as_bytes());
+        let key_hex = state.finish_hex();
         Ok(ServiceRequest {
             canonical,
             shard_hex,
@@ -255,6 +256,18 @@ impl ServiceRequest {
     pub fn shard_key(&self) -> &str {
         &self.shard_hex
     }
+}
+
+/// The canonical text of `ckt` and the hash state after it. The state's
+/// digest is the shard key, and the registry key continues from it, so
+/// the text is hashed once. [`ServiceRequest::from_spec`] and
+/// [`ReductionService::evict_session`] both derive the shard key here,
+/// so the two addresses cannot drift.
+fn canonical_hash(ckt: &Circuit) -> (String, Sha256) {
+    let canonical = to_spice(ckt);
+    let mut state = Sha256::new();
+    state.update(canonical.as_bytes());
+    (canonical, state)
 }
 
 /// Revision of the Lanczos arithmetic behind Padé and multi-point
@@ -607,7 +620,7 @@ impl ReductionService {
         let Ok((ckt, _)) = parse_spice(netlist) else {
             return false;
         };
-        let shard_hex = sha256_hex(to_spice(&ckt).as_bytes());
+        let shard_hex = canonical_hash(&ckt).1.finish_hex();
         let mut shards = relock(&self.shards);
         match shards.entries.iter().position(|(k, _)| *k == shard_hex) {
             Some(pos) => {

@@ -218,6 +218,12 @@ macro_rules! dispatch_width {
 /// and 1.6–2.4× at widths 3 and 1, and padding a lone column to width 8
 /// would cost 1.8× the width-1 solve.
 pub const ROW_SOLVE_WIDTH: usize = 8;
+
+/// Relative pivot breakdown floor: a refactor of `A` fails once a pivot
+/// magnitude drops to `BREAKDOWN_RTOL · max|aᵢⱼ|`. Callers that prove a
+/// matrix singular before factoring it judge "numerically zero" by the
+/// same floor.
+pub const BREAKDOWN_RTOL: f64 = 1e-13;
 const _: () = assert!(
     ROW_SOLVE_WIDTH == 8,
     "dispatch_width! has one arm per width 1..=8"
@@ -931,7 +937,7 @@ impl<T: Scalar> NumericLdlt<T> {
         for v in &mut self.y {
             *v = T::zero();
         }
-        Ok(1e-13 * max_abs.max(f64::MIN_POSITIVE))
+        Ok(BREAKDOWN_RTOL * max_abs.max(f64::MIN_POSITIVE))
     }
 
     /// The single breakdown exit: clears the accumulator, emits the

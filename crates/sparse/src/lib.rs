@@ -50,6 +50,6 @@ mod triplet;
 
 pub use amd::quotient_min_degree;
 pub use csc::{AddScaledPlan, CscMat};
-pub use ldlt::{LdltError, NumericLdlt, SymbolicLdlt, ROW_SOLVE_WIDTH};
+pub use ldlt::{LdltError, NumericLdlt, SymbolicLdlt, BREAKDOWN_RTOL, ROW_SOLVE_WIDTH};
 pub use order::{compute_ordering, is_permutation, min_degree, rcm, Ordering, EXPLICIT_MD_MAX};
 pub use triplet::TripletMat;

@@ -152,6 +152,13 @@ smoke_bench bench_multipoint multipoint/worst_band_error singlepoint/worst_band_
 smoke_bench bench_bt bt/worst_band_error pade/worst_band_error \
     bt/hankel_spectrum bt/reduce bt/hankel_bound
 
+echo "==> perfbench tests (replay fidelity)"
+# perfbench is its own workspace, so the workspace run above skips it.
+# Its replay suite requires replayed model bits, eval bits and counters
+# to equal the program's, which pins the factor and ingest paths the
+# benchmark traces.
+cargo test -q --release --offline --manifest-path perfbench/Cargo.toml
+
 echo "==> ablations A3 and multi-point (post-processing, certify, explicit multi-point)"
 # They run stabilize, certify and explicit multi-point placement end to
 # end outside the tests; each finishes in well under a second and exits
