@@ -75,18 +75,24 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     });
     let sys = MnaSystem::assemble_general(&ckt)?;
     let s0 = Shift::Value(2.0 * std::f64::consts::PI * 7e8);
+    let post = PostprocessOptions::default();
     for order in [16usize, 32, 48, 64] {
         let model = sympvl(&sys, order, &SympvlOptions::new().with_shift(s0)?)?;
         assert!(!model.guarantees_passivity());
         let poles = model.poles()?;
         let max_re = poles.iter().map(|p| p.re).fold(f64::NEG_INFINITY, f64::max);
-        let unstable = poles.iter().filter(|p| p.re > 1e3).count();
+        // The predicate `stabilize` reflects by: Re p > tol·max(|p|, 1).
+        let unstable = poles
+            .iter()
+            .filter(|p| p.re > post.stability_tol * p.abs().max(1.0))
+            .count();
         // §5's deferred "post-processing": pole reflection.
-        let fixed = stabilize(&model, &PostprocessOptions::default())?;
+        let fixed = stabilize(&model, &post)?;
         println!(
-            "  order {order:>2}: {} poles, {} in the right half-plane, max Re = {max_re:.3e}; post-processing reflected {} → stable: {}",
+            "  order {order:>2}: {} poles, {unstable} with Re p > {:.0e}·max(|p|, 1), max Re = {max_re:.3e}; post-processing dropped {} negligible-residue poles, reflected {} → stable: {}",
             poles.len(),
-            unstable,
+            post.stability_tol,
+            fixed.dropped_poles(),
             fixed.reflected_poles(),
             fixed.is_stable(1e-6)
         );

@@ -1,4 +1,5 @@
-//! Shift-keyed factorization cache.
+//! The recency policy every bounded cache shares ([`Lru`]), and the
+//! shift-keyed factorization cache built on it.
 //!
 //! Symbolic + numeric `M J Mᵀ` factorization is the dominant cost of a
 //! reduction, and a session routinely revisits the same expansion point
@@ -10,8 +11,95 @@
 //! probes singular candidates, and re-probing them on every request
 //! would redo the most expensive failure path.
 
+use std::borrow::Borrow;
 use std::sync::Arc;
 use sympvl::{FactorTarget, GFactor, SympvlError};
+
+/// A bounded map that evicts its least recently used entry: a `Vec`
+/// with the most recently used entry at the back, scanned linearly
+/// (every capacity in the workspace is small). [`Lru::insert`] returns
+/// the evicted entry, so each cache keeps its own counters.
+///
+/// ```
+/// let mut lru = mpvl_engine::Lru::new(2);
+/// lru.insert("a", 1);
+/// lru.insert("b", 2);
+/// lru.get("a"); // "b" is now least recently used
+/// assert_eq!(lru.insert("c", 3), Some(("b", 2)));
+/// ```
+#[derive(Debug, Clone)]
+pub struct Lru<K, V> {
+    capacity: usize,
+    entries: Vec<(K, V)>,
+}
+
+impl<K: PartialEq, V> Lru<K, V> {
+    /// An empty map of at most `capacity` entries (at least 1).
+    pub fn new(capacity: usize) -> Self {
+        Lru {
+            capacity: capacity.max(1),
+            entries: Vec::new(),
+        }
+    }
+
+    /// Entries currently held.
+    pub fn len(&self) -> usize {
+        self.entries.len()
+    }
+
+    /// `true` when nothing is held.
+    pub fn is_empty(&self) -> bool {
+        self.entries.is_empty()
+    }
+
+    fn position<Q: PartialEq + ?Sized>(&self, key: &Q) -> Option<usize>
+    where
+        K: Borrow<Q>,
+    {
+        self.entries.iter().position(|(k, _)| k.borrow() == key)
+    }
+
+    /// The value under `key`, marked most recently used.
+    pub fn get<Q: PartialEq + ?Sized>(&mut self, key: &Q) -> Option<&mut V>
+    where
+        K: Borrow<Q>,
+    {
+        let pos = self.position(key)?;
+        let entry = self.entries.remove(pos);
+        self.entries.push(entry);
+        self.entries.last_mut().map(|(_, v)| v)
+    }
+
+    /// The value under `key`, leaving its recency alone.
+    pub fn peek<Q: PartialEq + ?Sized>(&mut self, key: &Q) -> Option<&mut V>
+    where
+        K: Borrow<Q>,
+    {
+        let pos = self.position(key)?;
+        Some(&mut self.entries[pos].1)
+    }
+
+    /// Inserts `value` as the most recently used entry, replacing any
+    /// entry under the same key. When the map is full, the least
+    /// recently used entry is evicted and returned.
+    pub fn insert(&mut self, key: K, value: V) -> Option<(K, V)> {
+        if let Some(pos) = self.position(&key) {
+            self.entries.remove(pos);
+        }
+        let evicted = (self.entries.len() >= self.capacity).then(|| self.entries.remove(0));
+        self.entries.push((key, value));
+        evicted
+    }
+
+    /// Removes the entry under `key` and returns its value.
+    pub fn remove<Q: PartialEq + ?Sized>(&mut self, key: &Q) -> Option<V>
+    where
+        K: Borrow<Q>,
+    {
+        let pos = self.position(key)?;
+        Some(self.entries.remove(pos).1)
+    }
+}
 
 /// Cache key: the concrete matrix a factorization attempt targets.
 ///
@@ -63,23 +151,17 @@ pub struct CacheStats {
 }
 
 /// LRU-bounded map from [`FactorKey`] to a factorization result.
-///
-/// Linear scan over a `Vec` — capacities are single-digit, so this
-/// beats a hash map plus recency list in both code and cycles. The
-/// most recently used entry sits at the back.
 pub(crate) struct FactorCache {
-    capacity: usize,
-    entries: Vec<(FactorKey, Result<Arc<GFactor>, SympvlError>)>,
-    hits: u64,
-    misses: u64,
-    evictions: u64,
+    pub(crate) entries: Lru<FactorKey, Result<Arc<GFactor>, SympvlError>>,
+    pub(crate) hits: u64,
+    pub(crate) misses: u64,
+    pub(crate) evictions: u64,
 }
 
 impl FactorCache {
     pub(crate) fn new(capacity: usize) -> Self {
         FactorCache {
-            capacity: capacity.max(1),
-            entries: Vec::new(),
+            entries: Lru::new(capacity),
             hits: 0,
             misses: 0,
             evictions: 0,
@@ -94,32 +176,19 @@ impl FactorCache {
         key: FactorKey,
         factor: impl FnOnce() -> Result<Arc<GFactor>, SympvlError>,
     ) -> Result<Arc<GFactor>, SympvlError> {
-        if let Some(pos) = self.entries.iter().position(|(k, _)| *k == key) {
+        if let Some(result) = self.entries.get(&key) {
             self.hits += 1;
             mpvl_obs::counter_add("engine", "factor_cache_hits", 1);
-            // Move to the back: most recently used.
-            let entry = self.entries.remove(pos);
-            self.entries.push(entry);
-            return self.entries.last().expect("just pushed").1.clone();
+            return result.clone();
         }
         self.misses += 1;
         mpvl_obs::counter_add("engine", "factor_cache_misses", 1);
         let result = factor();
-        if self.entries.len() >= self.capacity {
-            let _evicted = self.entries.remove(0);
+        if self.entries.insert(key, result.clone()).is_some() {
             self.evictions += 1;
             mpvl_obs::counter_add("engine", "factor_cache_evictions", 1);
         }
-        self.entries.push((key, result.clone()));
         result
-    }
-
-    pub(crate) fn len(&self) -> usize {
-        self.entries.len()
-    }
-
-    pub(crate) fn counters(&self) -> (u64, u64, u64) {
-        (self.hits, self.misses, self.evictions)
     }
 }
 
@@ -129,6 +198,55 @@ mod tests {
 
     fn dummy_err(tag: &str) -> Result<Arc<GFactor>, SympvlError> {
         Err(SympvlError::Factorization { reason: tag.into() })
+    }
+
+    /// The keys in recency order, least recently used first.
+    fn order(lru: &Lru<u32, char>) -> Vec<u32> {
+        lru.entries.iter().map(|(k, _)| *k).collect()
+    }
+
+    fn abc() -> Lru<u32, char> {
+        let mut lru = Lru::new(3);
+        for (k, v) in [(1, 'a'), (2, 'b'), (3, 'c')] {
+            assert_eq!(lru.insert(k, v), None, "room for {k}");
+        }
+        lru
+    }
+
+    #[test]
+    fn lru_evicts_from_the_front_at_capacity() {
+        let mut lru = abc();
+        assert_eq!(lru.insert(4, 'd'), Some((1, 'a')));
+        assert_eq!(lru.insert(5, 'e'), Some((2, 'b')));
+        // Replacing a held key is not an eviction, and makes it newest.
+        assert_eq!(lru.insert(3, 'C'), None);
+        assert_eq!(order(&lru), [4, 5, 3]);
+    }
+
+    #[test]
+    fn lru_get_touches_and_peek_does_not() {
+        let mut lru = abc();
+        assert_eq!(lru.get(&1), Some(&mut 'a'));
+        *lru.peek(&2).expect("held") = 'B';
+        assert_eq!(order(&lru), [2, 3, 1]);
+        assert_eq!(lru.insert(4, 'd'), Some((2, 'B')));
+    }
+
+    #[test]
+    fn lru_removes_by_key() {
+        let mut lru = abc();
+        assert_eq!(lru.remove(&2), Some('b'));
+        assert_eq!(lru.remove(&2), None, "already gone");
+        assert_eq!(lru.insert(4, 'd'), None, "removal freed a slot");
+        assert_eq!(order(&lru), [1, 3, 4]);
+    }
+
+    #[test]
+    fn lru_capacity_zero_holds_one() {
+        let mut lru = Lru::new(0);
+        assert_eq!(lru.insert(1, 'a'), None);
+        assert_eq!(lru.insert(2, 'b'), Some((1, 'a')));
+        assert_eq!(order(&lru), [2]);
     }
 
     #[test]
@@ -164,9 +282,8 @@ mod tests {
             dummy_err("b2").unwrap_err(),
             "2.0 was evicted and refactored"
         );
-        let (hits, misses, evictions) = cache.counters();
-        assert_eq!((hits, misses, evictions), (2, 4, 2));
-        assert_eq!(cache.len(), 2);
+        assert_eq!((cache.hits, cache.misses, cache.evictions), (2, 4, 2));
+        assert_eq!(cache.entries.len(), 2);
     }
 
     #[test]

@@ -16,6 +16,11 @@
 //!   already-visited shift *continue* the paused block-Lanczos process
 //!   ([`sympvl::SympvlRun`]) instead of restarting it.
 //! * **Symbolic LDLᵀ analysis** for AC sweeps ([`mpvl_sim::AcSweeper`]).
+//! * **Reduced models** and their compiled eval plans, addressable by
+//!   [`ModelId`] for later [`EvalRequest`]s.
+//!
+//! Each cache is an [`Lru`]; `reduce` and `eval` are one-element
+//! batches, and by-products come from [`Want::by_products`].
 //!
 //! The free functions [`sympvl::sympvl`], [`sympvl::reduce_adaptive`],
 //! and [`mpvl_sim::ac_sweep`] are thin wrappers over the same machinery,
@@ -57,7 +62,7 @@ mod cache;
 mod request;
 mod session;
 
-pub use cache::{CacheStats, FactorKey};
+pub use cache::{CacheStats, FactorKey, Lru};
 pub use request::{
     AdaptiveInfo, Backend, BackendKind, BalancedInfo, CrossValidateOptions, CrossValidation,
     EvalOutcome, EvalPoint, EvalRequest, ModelId, MultiPointInfo, OrderSpec, PadeSpec, ReduceSpec,

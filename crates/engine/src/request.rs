@@ -11,8 +11,8 @@
 //! pass ([`CrossValidateOptions`]).
 
 use sympvl::{
-    AdaptiveOptions, BtOptions, Certificate, MultiPointOptions, ReducedModel, Shift, SympvlError,
-    SympvlOptions, SynthesisOptions, SynthesizedCircuit,
+    certify, synthesize_rc, AdaptiveOptions, BtOptions, Certificate, MultiPointOptions,
+    ReducedModel, Shift, SympvlError, SympvlOptions, SynthesisOptions, SynthesizedCircuit,
 };
 
 use mpvl_la::{Complex64, Mat};
@@ -78,6 +78,37 @@ impl Want {
     pub fn with_synthesis(mut self, opts: SynthesisOptions) -> Self {
         self.synthesis = Some(opts);
         self
+    }
+
+    /// The poles, certificate and synthesis this asks for, computed
+    /// from a finished model in that order (`None` where not asked).
+    ///
+    /// # Errors
+    ///
+    /// The first error of the three computations.
+    #[allow(clippy::type_complexity)]
+    pub fn by_products(
+        &self,
+        model: &ReducedModel,
+    ) -> Result<
+        (
+            Option<Vec<Complex64>>,
+            Option<Certificate>,
+            Option<SynthesizedCircuit>,
+        ),
+        SympvlError,
+    > {
+        let poles = self.poles.then(|| model.poles()).transpose()?;
+        let certificate = self
+            .certificate
+            .map(|tol| certify(model, tol))
+            .transpose()?;
+        let synthesis = self
+            .synthesis
+            .as_ref()
+            .map(|opts| synthesize_rc(model, opts))
+            .transpose()?;
+        Ok((poles, certificate, synthesis))
     }
 }
 
@@ -318,18 +349,9 @@ impl ReduceSpec {
     /// [`Backend::Pade`] (multi-point and balanced-truncation shifts
     /// are derived from their band, not set directly).
     pub fn with_shift(mut self, shift: Shift) -> Result<Self, SympvlError> {
-        match &mut self.backend {
-            Backend::Pade(pade) => {
-                pade.sympvl = pade.sympvl.clone().with_shift(shift)?;
-                Ok(self)
-            }
-            other => Err(SympvlError::InvalidOptions {
-                reason: format!(
-                    "with_shift applies to the Padé backend only, not {:?}",
-                    other.kind()
-                ),
-            }),
-        }
+        let pade = self.pade_mut("with_shift")?;
+        pade.sympvl = pade.sympvl.clone().with_shift(shift)?;
+        Ok(self)
     }
 
     /// Replaces the Padé run options wholesale.
@@ -339,14 +361,17 @@ impl ReduceSpec {
     /// [`SympvlError::InvalidOptions`] when the backend is not
     /// [`Backend::Pade`].
     pub fn with_sympvl(mut self, sympvl: SympvlOptions) -> Result<Self, SympvlError> {
+        self.pade_mut("with_sympvl")?.sympvl = sympvl;
+        Ok(self)
+    }
+
+    /// The Padé backend, for the Padé-only builder `what`.
+    fn pade_mut(&mut self, what: &str) -> Result<&mut PadeSpec, SympvlError> {
         match &mut self.backend {
-            Backend::Pade(pade) => {
-                pade.sympvl = sympvl;
-                Ok(self)
-            }
+            Backend::Pade(pade) => Ok(pade),
             other => Err(SympvlError::InvalidOptions {
                 reason: format!(
-                    "with_sympvl applies to the Padé backend only, not {:?}",
+                    "{what} applies to the Padé backend only, not {:?}",
                     other.kind()
                 ),
             }),
@@ -476,6 +501,24 @@ pub struct ReductionOutcome {
     pub certificate: Option<Certificate>,
     /// Present when [`Want::synthesis`] was set.
     pub synthesis: Option<SynthesizedCircuit>,
+}
+
+impl ReductionOutcome {
+    /// An outcome holding just `model`, with a placeholder id until the
+    /// session registers it (in request-index order).
+    pub(crate) fn unregistered(model: ReducedModel) -> Self {
+        ReductionOutcome {
+            model_id: ModelId(usize::MAX),
+            model,
+            adaptive: None,
+            multipoint: None,
+            balanced: None,
+            cross_validation: None,
+            poles: None,
+            certificate: None,
+            synthesis: None,
+        }
+    }
 }
 
 /// A frequency-sweep evaluation of a session-retained reduced model.

@@ -24,21 +24,19 @@
 //! partial mutation — a panic can at worst lose one entry's worth of
 //! cached work, never a structural invariant.
 
-use crate::cache::{CacheStats, FactorCache, FactorKey};
+use crate::cache::{CacheStats, FactorCache, FactorKey, Lru};
 use crate::request::{
-    AdaptiveInfo, Backend, BackendKind, BalancedInfo, CrossValidateOptions, CrossValidation,
-    EvalOutcome, EvalPoint, EvalRequest, ModelId, MultiPointInfo, OrderSpec, PadeSpec, ReduceSpec,
-    ReductionOutcome, Want,
+    AdaptiveInfo, Backend, BalancedInfo, CrossValidateOptions, CrossValidation, EvalOutcome,
+    EvalPoint, EvalRequest, ModelId, MultiPointInfo, OrderSpec, ReduceSpec, ReductionOutcome,
 };
 use mpvl_circuit::MnaSystem;
 use mpvl_la::{Complex64, Mat};
 use mpvl_sim::{AcError, AcPoint, AcSweeper};
 use std::sync::{Arc, Mutex, MutexGuard, PoisonError};
 use sympvl::{
-    band_disagreement, certify, expansion_shift, factor_target, reduce_adaptive_with,
-    reduce_balanced_via, reduce_multipoint_with, synthesize_rc, BtOptions, Certificate, EvalPlan,
-    EvalWorkspace, FactorTarget, GFactor, MultiPointOptions, ReducedModel, RunProvider, Shift,
-    SympvlError, SympvlOptions, SympvlRun, SynthesizedCircuit,
+    band_disagreement, expansion_shift, factor_target, reduce_adaptive_with, reduce_balanced_via,
+    reduce_multipoint_with, BtOptions, EvalPlan, EvalWorkspace, FactorTarget, GFactor,
+    MultiPointOptions, ReducedModel, RunProvider, Shift, SympvlError, SympvlOptions, SympvlRun,
 };
 
 /// Locks `m`, recovering from poison (see the module-level lock
@@ -89,12 +87,7 @@ impl SessionOptions {
     ///
     /// [`SympvlError::InvalidOptions`] for a zero capacity.
     pub fn with_max_cached_factors(mut self, n: usize) -> Result<Self, SympvlError> {
-        if n == 0 {
-            return Err(SympvlError::InvalidOptions {
-                reason: "factor cache capacity must be at least 1".into(),
-            });
-        }
-        self.max_cached_factors = n;
+        self.max_cached_factors = at_least_one(n, "factor cache")?;
         Ok(self)
     }
 
@@ -104,12 +97,7 @@ impl SessionOptions {
     ///
     /// [`SympvlError::InvalidOptions`] for a zero capacity.
     pub fn with_max_retained_runs(mut self, n: usize) -> Result<Self, SympvlError> {
-        if n == 0 {
-            return Err(SympvlError::InvalidOptions {
-                reason: "retained-run capacity must be at least 1".into(),
-            });
-        }
-        self.max_retained_runs = n;
+        self.max_retained_runs = at_least_one(n, "retained-run")?;
         Ok(self)
     }
 
@@ -119,13 +107,18 @@ impl SessionOptions {
     ///
     /// [`SympvlError::InvalidOptions`] for a zero capacity.
     pub fn with_max_retained_models(mut self, n: usize) -> Result<Self, SympvlError> {
-        if n == 0 {
-            return Err(SympvlError::InvalidOptions {
-                reason: "retained-model capacity must be at least 1".into(),
-            });
-        }
-        self.max_retained_models = n;
+        self.max_retained_models = at_least_one(n, "retained-model")?;
         Ok(self)
+    }
+}
+
+/// `n`, unless it is zero: then the builder of the `what` capacity fails.
+fn at_least_one(n: usize, what: &str) -> Result<usize, SympvlError> {
+    match n {
+        0 => Err(SympvlError::InvalidOptions {
+            reason: format!("{what} capacity must be at least 1"),
+        }),
+        n => Ok(n),
     }
 }
 
@@ -169,156 +162,80 @@ impl RunKey {
     }
 }
 
-/// LRU pool of paused Lanczos runs (most recently used at the back).
-struct RunPool {
-    capacity: usize,
-    entries: Vec<(RunKey, SympvlRun)>,
-}
-
-impl RunPool {
-    fn new(capacity: usize) -> Self {
-        RunPool {
-            capacity: capacity.max(1),
-            entries: Vec::new(),
-        }
-    }
-
-    /// Checks a run out (removes it; the caller puts it back).
-    fn take(&mut self, key: &RunKey) -> Option<SympvlRun> {
-        let pos = self.entries.iter().position(|(k, _)| k == key)?;
-        Some(self.entries.remove(pos).1)
-    }
-
-    /// Checks a run back in. If another worker raced a fresh run in
-    /// under the same key, the further-advanced state wins (results are
-    /// bit-identical either way; keeping the deeper state saves work).
-    fn put(&mut self, key: RunKey, run: SympvlRun) {
-        if let Some(pos) = self.entries.iter().position(|(k, _)| *k == key) {
-            if self.entries[pos].1.reached_order() >= run.reached_order() {
-                return;
-            }
-            self.entries.remove(pos);
-        }
-        if self.entries.len() >= self.capacity {
-            self.entries.remove(0);
-        }
-        self.entries.push((key, run));
-    }
-
-    fn len(&self) -> usize {
-        self.entries.len()
+/// The run key a Padé request is grouped under; `None` for the other
+/// backends, which form groups of their own.
+fn run_key(spec: &ReduceSpec) -> Option<RunKey> {
+    match &spec.backend {
+        Backend::Pade(pade) => Some(RunKey::of(&pade.sympvl)),
+        Backend::MultiPoint(_) | Backend::BalancedTruncation(_) => None,
     }
 }
 
 /// One retained model plus its lazily compiled evaluation plan.
 struct ModelEntry {
-    id: usize,
     model: Arc<ReducedModel>,
     plan: Option<Arc<EvalPlan>>,
 }
 
-/// How a [`ModelId`] resolves against the [`ModelStore`].
-enum Lookup {
-    /// Retained: the model, with the entry touched most-recently-used.
-    Present(Arc<ReducedModel>),
-    /// Issued once, since dropped (capacity bound or explicit
-    /// [`ReductionSession::evict_model`]). Ids are never reused, so
-    /// this is permanently distinguishable from [`Lookup::Unknown`].
-    Evicted,
-    /// Never issued by this session.
-    Unknown,
-}
-
-/// LRU-bounded store of retained models and their compiled eval plans
-/// (most recently used at the back; eval counts as a use). Ids are
-/// monotonic and never reused: a stale handle resolves to a typed
+/// LRU-bounded store of retained models and their compiled eval plans,
+/// keyed by id (eval counts as a use). Ids are monotonic and never
+/// reused: a stale handle resolves to a typed
 /// [`SympvlError::ModelEvicted`], never silently to a different model.
 struct ModelStore {
-    capacity: usize,
     next_id: usize,
-    entries: Vec<ModelEntry>,
+    entries: Lru<usize, ModelEntry>,
     evictions: u64,
 }
 
 impl ModelStore {
     fn new(capacity: usize) -> Self {
         ModelStore {
-            capacity: capacity.max(1),
             next_id: 0,
-            entries: Vec::new(),
+            entries: Lru::new(capacity),
             evictions: 0,
         }
+    }
+
+    fn count_eviction(&mut self) {
+        self.evictions += 1;
+        mpvl_obs::counter_add("engine", "model_evictions", 1);
     }
 
     fn adopt(&mut self, model: Arc<ReducedModel>) -> ModelId {
         let id = self.next_id;
         self.next_id += 1;
-        if self.entries.len() >= self.capacity {
-            self.entries.remove(0);
-            self.evictions += 1;
-            mpvl_obs::counter_add("engine", "model_evictions", 1);
+        let entry = ModelEntry { model, plan: None };
+        if self.entries.insert(id, entry).is_some() {
+            self.count_eviction();
         }
-        self.entries.push(ModelEntry {
-            id,
-            model,
-            plan: None,
-        });
         ModelId(id)
     }
 
-    fn position(&self, id: ModelId) -> Option<usize> {
-        self.entries.iter().position(|e| e.id == id.0)
-    }
-
-    fn lookup(&mut self, id: ModelId) -> Lookup {
-        match self.position(id) {
-            Some(pos) => {
-                let entry = self.entries.remove(pos);
-                self.entries.push(entry);
-                Lookup::Present(self.entries.last().expect("just pushed").model.clone())
-            }
-            None if id.0 < self.next_id => Lookup::Evicted,
-            None => Lookup::Unknown,
+    /// The retained model, touched most-recently-used; a dropped id is
+    /// [`SympvlError::ModelEvicted`], never an unknown one.
+    fn lookup(&mut self, id: ModelId) -> Result<Arc<ReducedModel>, SympvlError> {
+        match self.entries.get(&id.0) {
+            Some(entry) => Ok(entry.model.clone()),
+            None if id.0 < self.next_id => Err(SympvlError::ModelEvicted { id: id.0 }),
+            None => Err(SympvlError::InvalidOptions {
+                reason: format!("no model with id {} in this session", id.0),
+            }),
         }
     }
 
     fn evict(&mut self, id: ModelId) -> bool {
-        match self.position(id) {
-            Some(pos) => {
-                self.entries.remove(pos);
-                self.evictions += 1;
-                mpvl_obs::counter_add("engine", "model_evictions", 1);
-                true
-            }
-            None => false,
+        let held = self.entries.remove(&id.0).is_some();
+        if held {
+            self.count_eviction();
         }
+        held
     }
-
-    fn len(&self) -> usize {
-        self.entries.len()
-    }
-}
-
-/// A reduction outcome before the model is registered in the store —
-/// registration is deferred so batch [`ModelId`]s can be assigned in
-/// request-index order regardless of worker scheduling.
-struct PendingOutcome {
-    model: ReducedModel,
-    adaptive: Option<AdaptiveInfo>,
-    multipoint: Option<MultiPointInfo>,
-    balanced: Option<BalancedInfo>,
-    cross_validation: Option<CrossValidation>,
-    poles: Option<Vec<Complex64>>,
-    certificate: Option<Certificate>,
-    synthesis: Option<SynthesizedCircuit>,
 }
 
 /// [`RunProvider`] adapter that routes the multi-point driver's
-/// per-point checkouts through the session's factor cache and run pool:
-/// each expansion point's factorization is cached under its
-/// [`FactorKey`], and its paused Lanczos state is pooled under the same
-/// [`RunKey`] a single-point request at that shift would use — so the
-/// two request kinds warm each other.
+/// per-point checkouts through the session's factor cache and run pool,
+/// under the keys a single-point request at that shift would use — so
+/// the two request kinds warm each other.
 struct SessionRuns<'a> {
     session: &'a ReductionSession,
 }
@@ -340,19 +257,10 @@ impl RunProvider for SessionRuns<'_> {
 
 /// One system, many reductions: a [`ReductionSession`] is constructed
 /// once from an [`MnaSystem`] and serves reduction, evaluation, and AC
-/// sweep requests, reusing everything reusable in between:
-///
-/// * factorizations of `G + s₀C`, keyed by the exact matrix factored
-///   ([`FactorKey`]) and LRU-bounded;
-/// * paused block-Lanczos states ([`SympvlRun`]), so an escalating
-///   order — or an adaptive request revisiting a shift — continues the
-///   Krylov process instead of restarting it;
-/// * the AC sweeper's symbolic LDLᵀ analysis;
-/// * reduced models, addressable by [`ModelId`] for later
-///   [`EvalRequest`]s, LRU-bounded by
-///   [`SessionOptions::max_retained_models`] (evicted ids are retired,
-///   never reused — a stale handle gets
-///   [`SympvlError::ModelEvicted`]).
+/// sweep requests, reusing everything reusable in between (the
+/// [crate docs](crate) list what). Retained models are bounded by
+/// [`SessionOptions::max_retained_models`]; evicted ids are retired,
+/// never reused, so a stale handle gets [`SympvlError::ModelEvicted`].
 ///
 /// **Determinism contract:** every model a session produces is
 /// bit-identical to the corresponding free-function call
@@ -380,7 +288,8 @@ impl RunProvider for SessionRuns<'_> {
 pub struct ReductionSession {
     sys: MnaSystem,
     factors: Mutex<FactorCache>,
-    runs: Mutex<RunPool>,
+    /// Paused Lanczos runs, checked out (removed) while in use.
+    runs: Mutex<Lru<RunKey, SympvlRun>>,
     store: Mutex<ModelStore>,
     sweeper: Mutex<Option<Arc<AcSweeper>>>,
 }
@@ -396,7 +305,7 @@ impl ReductionSession {
         ReductionSession {
             sys,
             factors: Mutex::new(FactorCache::new(opts.max_cached_factors)),
-            runs: Mutex::new(RunPool::new(opts.max_retained_runs)),
+            runs: Mutex::new(Lru::new(opts.max_retained_runs)),
             store: Mutex::new(ModelStore::new(opts.max_retained_models)),
             sweeper: Mutex::new(None),
         }
@@ -407,7 +316,8 @@ impl ReductionSession {
         &self.sys
     }
 
-    /// Serves one reduction request, for any [`ReduceSpec`] backend.
+    /// Serves one reduction request, for any [`ReduceSpec`] backend: a
+    /// one-element [`ReductionSession::reduce_batch`].
     ///
     /// # Errors
     ///
@@ -415,8 +325,9 @@ impl ReductionSession {
     /// certificate, or synthesis computation reports.
     pub fn reduce(&self, spec: &ReduceSpec) -> Result<ReductionOutcome, SympvlError> {
         let _span = mpvl_obs::span("engine", "reduce");
-        let pending = self.execute_spec(spec)?;
-        Ok(self.register(pending))
+        self.reduce_many(std::slice::from_ref(spec))
+            .pop()
+            .expect("one result per spec")
     }
 
     /// Serves a batch of reduction requests, fanning independent groups
@@ -431,69 +342,32 @@ impl ReductionSession {
     /// cache).
     pub fn reduce_batch(&self, specs: &[ReduceSpec]) -> Vec<Result<ReductionOutcome, SympvlError>> {
         let _span = mpvl_obs::span("engine", "reduce_batch");
-        // Group Padé requests by run key, preserving first-appearance
-        // order; each group runs sequentially against one checked-out
-        // run. Multi-point and balanced requests are their own groups
-        // (key `None`) — they have no single resumable run state, but
-        // their factorizations share the session cache.
+        self.reduce_many(specs)
+    }
+
+    /// The shared reduction core. Padé requests are grouped by run key
+    /// in first-appearance order, each group running sequentially on one
+    /// checked-out run; multi-point and balanced requests are groups of
+    /// their own (key `None`). Groups fan out across workers (one group
+    /// runs inline), then models are registered in request-index order.
+    fn reduce_many(&self, specs: &[ReduceSpec]) -> Vec<Result<ReductionOutcome, SympvlError>> {
         let mut groups: Vec<(Option<RunKey>, Vec<usize>)> = Vec::new();
         for (i, spec) in specs.iter().enumerate() {
-            match &spec.backend {
-                Backend::Pade(pade) => {
-                    let key = Some(RunKey::of(&pade.sympvl));
-                    match groups.iter_mut().find(|(k, _)| *k == key) {
-                        Some((_, members)) => members.push(i),
-                        None => groups.push((key, vec![i])),
-                    }
-                }
-                Backend::MultiPoint(_) | Backend::BalancedTruncation(_) => {
-                    groups.push((None, vec![i]));
-                }
+            let key = run_key(spec);
+            match groups.iter_mut().find(|(k, _)| key.is_some() && *k == key) {
+                Some((_, members)) => members.push(i),
+                None => groups.push((key, vec![i])),
             }
         }
-        let per_group: Vec<Vec<(usize, Result<PendingOutcome, SympvlError>)>> =
-            mpvl_par::parallel_map_with(
-                mpvl_par::thread_count(),
-                &groups,
-                |_| (),
-                |_, _, (key, members)| {
-                    let mut results = Vec::with_capacity(members.len());
-                    match key {
-                        Some(key) => {
-                            let Backend::Pade(first) = &specs[members[0]].backend else {
-                                unreachable!("keyed groups hold Padé requests only");
-                            };
-                            match self.checkout_or_create_run(&first.sympvl) {
-                                Ok(mut run) => {
-                                    for &i in members {
-                                        let Backend::Pade(pade) = &specs[i].backend else {
-                                            unreachable!("keyed groups hold Padé requests only");
-                                        };
-                                        results.push((
-                                            i,
-                                            self.execute_pade_with_run(&mut run, pade, &specs[i]),
-                                        ));
-                                    }
-                                    self.checkin_run(*key, run);
-                                }
-                                Err(e) => {
-                                    for &i in members {
-                                        results.push((i, Err(e.clone())));
-                                    }
-                                }
-                            }
-                        }
-                        None => {
-                            let i = members[0];
-                            results.push((i, self.execute_spec(&specs[i])));
-                        }
-                    }
-                    results
-                },
-            );
+        let per_group = mpvl_par::parallel_map_with(
+            mpvl_par::thread_count(),
+            &groups,
+            |_| (),
+            |_, _, (key, members)| self.execute_group(*key, specs, members),
+        );
         // Scatter back to request order, then register models in that
         // order so ModelIds are deterministic under any thread count.
-        let mut slots: Vec<Option<Result<PendingOutcome, SympvlError>>> =
+        let mut slots: Vec<Option<Result<ReductionOutcome, SympvlError>>> =
             specs.iter().map(|_| None).collect();
         for group in per_group {
             for (i, result) in group {
@@ -504,7 +378,7 @@ impl ReductionSession {
             .into_iter()
             .map(|slot| {
                 slot.expect("every request is in exactly one group")
-                    .map(|pending| self.register(pending))
+                    .map(|outcome| self.register(outcome))
             })
             .collect()
     }
@@ -514,10 +388,7 @@ impl ReductionSession {
     /// evicted-vs-unknown distinction use
     /// [`ReductionSession::lookup_model`].
     pub fn model(&self, id: ModelId) -> Option<Arc<ReducedModel>> {
-        match relock(&self.store).lookup(id) {
-            Lookup::Present(model) => Some(model),
-            Lookup::Evicted | Lookup::Unknown => None,
-        }
+        relock(&self.store).lookup(id).ok()
     }
 
     /// Resolves an id to its retained model, distinguishing the two
@@ -532,13 +403,7 @@ impl ReductionSession {
     /// condition is permanent. [`SympvlError::InvalidOptions`] for an
     /// id this session never issued.
     pub fn lookup_model(&self, id: ModelId) -> Result<Arc<ReducedModel>, SympvlError> {
-        match relock(&self.store).lookup(id) {
-            Lookup::Present(model) => Ok(model),
-            Lookup::Evicted => Err(SympvlError::ModelEvicted { id: id.0 }),
-            Lookup::Unknown => Err(SympvlError::InvalidOptions {
-                reason: format!("no model with id {} in this session", id.0),
-            }),
-        }
+        relock(&self.store).lookup(id)
     }
 
     /// Adopts an externally constructed model — e.g. one deserialized
@@ -561,12 +426,9 @@ impl ReductionSession {
     /// `engine/eval_plan_compiles`, `engine/eval_plan_fallbacks`.
     pub fn plan_for(&self, id: ModelId, model: &Arc<ReducedModel>) -> Arc<EvalPlan> {
         let mut store = relock(&self.store);
-        let pos = store.position(id);
-        if let Some(pos) = pos {
-            if let Some(plan) = &store.entries[pos].plan {
-                mpvl_obs::counter_add("engine", "eval_plan_hits", 1);
-                return plan.clone();
-            }
+        if let Some(plan) = store.entries.peek(&id.0).and_then(|e| e.plan.clone()) {
+            mpvl_obs::counter_add("engine", "eval_plan_hits", 1);
+            return plan;
         }
         let plan = Arc::new(EvalPlan::compile(model));
         mpvl_obs::counter_add("engine", "eval_plan_compiles", 1);
@@ -576,8 +438,8 @@ impl ReductionSession {
         // The entry may be gone (evicted between lookup and planning, or
         // a model the store never held): the one-shot plan still
         // evaluates bit-identically, it just is not cached.
-        if let Some(pos) = pos {
-            store.entries[pos].plan = Some(plan.clone());
+        if let Some(entry) = store.entries.peek(&id.0) {
+            entry.plan = Some(plan.clone());
         }
         plan
     }
@@ -681,41 +543,33 @@ impl ReductionSession {
                 },
             );
         }
-        // Reassemble in request-index order; the first failing point of a
-        // request (in frequency order) decides its error, matching the
+        // Reassemble in request-index order (each resolved request owns
+        // the next `freqs_hz.len()` slots); the first failing point of a
+        // request, in frequency order, decides its error, matching the
         // serial early-exit semantics.
-        let mut out = Vec::with_capacity(requests.len());
-        let mut slot_iter = slots.into_iter().peekable();
-        for (i, plan) in resolved.into_iter().enumerate() {
-            match plan {
-                Err(e) => out.push(Err(e)),
-                Ok(_) => {
-                    let mut points = Vec::with_capacity(requests[i].freqs_hz.len());
-                    let mut first_err = None;
-                    while slot_iter.peek().is_some_and(|slot| slot.req == i) {
-                        let slot = slot_iter.next().expect("peeked");
-                        if first_err.is_some() {
-                            continue;
-                        }
-                        match slot.err {
-                            Some(e) => first_err = Some(e),
-                            None => points.push(EvalPoint {
-                                freq_hz: slot.freq_hz,
-                                z: slot.z,
-                            }),
-                        }
-                    }
-                    out.push(match first_err {
+        let mut slots = slots.into_iter();
+        resolved
+            .into_iter()
+            .zip(requests)
+            .map(|(plan, request)| {
+                plan?;
+                let own: Vec<Slot> = slots.by_ref().take(request.freqs_hz.len()).collect();
+                let points = own
+                    .into_iter()
+                    .map(|slot| match slot.err {
                         Some(e) => Err(e),
-                        None => Ok(EvalOutcome {
-                            model: requests[i].model,
-                            points,
+                        None => Ok(EvalPoint {
+                            freq_hz: slot.freq_hz,
+                            z: slot.z,
                         }),
-                    });
-                }
-            }
-        }
-        out
+                    })
+                    .collect::<Result<Vec<_>, _>>()?;
+                Ok(EvalOutcome {
+                    model: request.model,
+                    points,
+                })
+            })
+            .collect()
     }
 
     /// Exact AC sweep of the *full* system, reusing the session's
@@ -744,14 +598,13 @@ impl ReductionSession {
         let factors = relock(&self.factors);
         let runs = relock(&self.runs);
         let store = relock(&self.store);
-        let (factor_hits, factor_misses, factor_evictions) = factors.counters();
         CacheStats {
-            factor_hits,
-            factor_misses,
-            factor_evictions,
-            cached_factors: factors.len(),
+            factor_hits: factors.hits,
+            factor_misses: factors.misses,
+            factor_evictions: factors.evictions,
+            cached_factors: factors.entries.len(),
             retained_runs: runs.len(),
-            cached_models: store.len(),
+            cached_models: store.entries.len(),
             model_evictions: store.evictions,
         }
     }
@@ -764,54 +617,87 @@ impl ReductionSession {
     }
 
     fn checkout_or_create_run(&self, opts: &SympvlOptions) -> Result<SympvlRun, SympvlError> {
-        if let Some(run) = relock(&self.runs).take(&RunKey::of(opts)) {
+        if let Some(run) = relock(&self.runs).remove(&RunKey::of(opts)) {
             return Ok(run);
         }
         SympvlRun::new_via(&self.sys, opts, &mut |_, target| self.cached_factor(target))
     }
 
+    /// Checks a run back in. If another worker raced a fresh run in
+    /// under the same key, the further-advanced state wins (results are
+    /// bit-identical either way; keeping the deeper state saves work).
     fn checkin_run(&self, key: RunKey, run: SympvlRun) {
-        relock(&self.runs).put(key, run);
+        let mut runs = relock(&self.runs);
+        if runs
+            .peek(&key)
+            .is_some_and(|held| held.reached_order() >= run.reached_order())
+        {
+            return;
+        }
+        runs.insert(key, run);
     }
 
-    /// Routes one spec to its backend executor.
-    fn execute_spec(&self, spec: &ReduceSpec) -> Result<PendingOutcome, SympvlError> {
-        match &spec.backend {
-            Backend::Pade(pade) => {
-                let key = RunKey::of(&pade.sympvl);
-                let mut run = self.checkout_or_create_run(&pade.sympvl)?;
-                let result = self.execute_pade_with_run(&mut run, pade, spec);
+    /// Runs one group of `specs` without registering its models. A Padé
+    /// group (`key` set) runs its members in request order on the one
+    /// run checked out under the key, so escalations resume it; any
+    /// other group is a single multi-point or balanced request.
+    fn execute_group(
+        &self,
+        key: Option<RunKey>,
+        specs: &[ReduceSpec],
+        members: &[usize],
+    ) -> Vec<(usize, Result<ReductionOutcome, SympvlError>)> {
+        let Some(key) = key else {
+            let spec = &specs[members[0]];
+            let result = match &spec.backend {
+                Backend::MultiPoint(opts) => self.execute_multipoint(opts, spec),
+                Backend::BalancedTruncation(opts) => self.execute_balanced(opts, spec),
+                Backend::Pade(_) => unreachable!("Padé requests are keyed"),
+            };
+            return vec![(members[0], result)];
+        };
+        let Backend::Pade(first) = &specs[members[0]].backend else {
+            unreachable!("keyed groups hold Padé requests only");
+        };
+        match self.checkout_or_create_run(&first.sympvl) {
+            Ok(mut run) => {
+                let results = members
+                    .iter()
+                    .map(|&i| (i, self.execute_pade_with_run(&mut run, &specs[i])))
+                    .collect();
                 self.checkin_run(key, run);
-                result
+                results
             }
-            Backend::MultiPoint(opts) => self.execute_multipoint(opts, spec),
-            Backend::BalancedTruncation(opts) => self.execute_balanced(opts, spec),
+            Err(e) => members.iter().map(|&i| (i, Err(e.clone()))).collect(),
         }
     }
 
     fn execute_pade_with_run(
         &self,
         run: &mut SympvlRun,
-        pade: &PadeSpec,
         spec: &ReduceSpec,
-    ) -> Result<PendingOutcome, SympvlError> {
-        let (model, adaptive) = match &pade.order {
-            OrderSpec::Fixed(order) => (run.model_at(&self.sys, *order)?, None),
+    ) -> Result<ReductionOutcome, SympvlError> {
+        let Backend::Pade(pade) = &spec.backend else {
+            unreachable!("keyed groups hold Padé requests only");
+        };
+        let outcome = match &pade.order {
+            OrderSpec::Fixed(order) => {
+                ReductionOutcome::unregistered(run.model_at(&self.sys, *order)?)
+            }
             OrderSpec::Adaptive(adaptive_opts) => {
                 let mut opts = adaptive_opts.clone();
                 opts.sympvl = pade.sympvl.clone();
                 let out = reduce_adaptive_with(&self.sys, &opts, run)?;
-                (
-                    out.model,
-                    Some(AdaptiveInfo {
-                        estimated_error: out.estimated_error,
-                        orders_tried: out.orders_tried,
-                        hit_order_cap: out.hit_order_cap,
-                    }),
-                )
+                let mut outcome = ReductionOutcome::unregistered(out.model);
+                outcome.adaptive = Some(AdaptiveInfo {
+                    estimated_error: out.estimated_error,
+                    orders_tried: out.orders_tried,
+                    hit_order_cap: out.hit_order_cap,
+                });
+                outcome
             }
         };
-        self.finish_pending(model, adaptive, None, None, spec)
+        self.finish(outcome, spec)
     }
 
     /// The session-level face of [`sympvl::reduce_multipoint`]: every
@@ -824,16 +710,17 @@ impl ReductionSession {
         &self,
         opts: &MultiPointOptions,
         spec: &ReduceSpec,
-    ) -> Result<PendingOutcome, SympvlError> {
+    ) -> Result<ReductionOutcome, SympvlError> {
         let _span = mpvl_obs::span("engine", "reduce_multipoint");
         let out = reduce_multipoint_with(&self.sys, opts, &mut SessionRuns { session: self })?;
-        let info = MultiPointInfo {
+        let mut outcome = ReductionOutcome::unregistered(out.model);
+        outcome.multipoint = Some(MultiPointInfo {
             point_freqs_hz: out.point_freqs_hz,
             shifts: out.shifts,
             per_point_order: out.per_point_order,
             estimated_error: out.estimated_error,
-        };
-        self.finish_pending(out.model, None, Some(info), None, spec)
+        });
+        self.finish(outcome, spec)
     }
 
     /// The session-level face of [`sympvl::reduce_balanced`]: both
@@ -845,54 +732,46 @@ impl ReductionSession {
         &self,
         opts: &BtOptions,
         spec: &ReduceSpec,
-    ) -> Result<PendingOutcome, SympvlError> {
+    ) -> Result<ReductionOutcome, SympvlError> {
         let _span = mpvl_obs::span("engine", "reduce_balanced");
         let out =
             reduce_balanced_via(&self.sys, opts, &mut |_, target| self.cached_factor(target))?;
-        let info = BalancedInfo {
+        let mut outcome = ReductionOutcome::unregistered(out.model);
+        outcome.balanced = Some(BalancedInfo {
             hankel: out.hankel,
             hankel_bound: out.hankel_bound,
             basis_dim: out.basis_dim,
             iterations: out.iterations,
             converged: out.converged,
             estimated_band_error: out.estimated_band_error,
-        };
-        self.finish_pending(out.model, None, None, Some(info), spec)
+        });
+        self.finish(outcome, spec)
     }
 
     /// Shared tail of every backend executor: optional cross-validation
-    /// against the complementary backend, then the [`Want`] by-products.
-    fn finish_pending(
+    /// against the complementary backend, then the
+    /// [`Want`](crate::Want) by-products.
+    fn finish(
         &self,
-        model: ReducedModel,
-        adaptive: Option<AdaptiveInfo>,
-        multipoint: Option<MultiPointInfo>,
-        balanced: Option<BalancedInfo>,
+        mut outcome: ReductionOutcome,
         spec: &ReduceSpec,
-    ) -> Result<PendingOutcome, SympvlError> {
-        let cross_validation = match &spec.cross_validate {
-            Some(cv) => Some(self.cross_validate(&model, &spec.backend, cv)?),
-            None => None,
-        };
-        let (poles, certificate, synthesis) = self.by_products(&model, &spec.want)?;
-        Ok(PendingOutcome {
-            model,
-            adaptive,
-            multipoint,
-            balanced,
-            cross_validation,
-            poles,
-            certificate,
-            synthesis,
-        })
+    ) -> Result<ReductionOutcome, SympvlError> {
+        if let Some(cv) = &spec.cross_validate {
+            outcome.cross_validation =
+                Some(self.cross_validate(&outcome.model, &spec.backend, cv)?);
+        }
+        (outcome.poles, outcome.certificate, outcome.synthesis) =
+            spec.want.by_products(&outcome.model)?;
+        Ok(outcome)
     }
 
     /// Runs the complementary backend at the primary model's order and
     /// measures the band-worst disagreement: a balanced-truncation
     /// primary is refereed by a single-point Padé model expanded at the
     /// band's geometric-mean frequency; a Padé or multi-point primary
-    /// is refereed by balanced truncation over the band. Both referees
-    /// reuse the session's factor cache (and, for Padé, the run pool).
+    /// is refereed by balanced truncation over the band. The referee
+    /// runs through the request executors, so it reuses the session's
+    /// factor cache (and, for Padé, the run pool); it is not retained.
     fn cross_validate(
         &self,
         model: &ReducedModel,
@@ -901,81 +780,35 @@ impl ReductionSession {
     ) -> Result<CrossValidation, SympvlError> {
         let _span = mpvl_obs::span("engine", "cross_validate");
         let order = model.order().max(1);
-        let (referee_model, referee) = match backend {
+        let referee = match backend {
             Backend::BalancedTruncation(_) => {
-                let f_mid = (cv.f_lo * cv.f_hi).sqrt();
-                let s0 = expansion_shift(f_mid, self.sys.s_power);
-                let opts = SympvlOptions::default().with_shift(Shift::Value(s0))?;
-                let key = RunKey::of(&opts);
-                let mut run = self.checkout_or_create_run(&opts)?;
-                let result = run.model_at(&self.sys, order);
-                self.checkin_run(key, run);
-                (result?, BackendKind::Pade)
+                let s0 = expansion_shift((cv.f_lo * cv.f_hi).sqrt(), self.sys.s_power);
+                ReduceSpec::pade_fixed(order)?.with_shift(Shift::Value(s0))?
             }
             Backend::Pade(_) | Backend::MultiPoint(_) => {
-                let opts = BtOptions::for_band(cv.f_lo, cv.f_hi)?.with_order(order)?;
-                let out = reduce_balanced_via(&self.sys, &opts, &mut |_, target| {
-                    self.cached_factor(target)
-                })?;
-                (out.model, BackendKind::BalancedTruncation)
+                ReduceSpec::balanced(BtOptions::for_band(cv.f_lo, cv.f_hi)?.with_order(order)?)
             }
         };
+        let (_, result) = self
+            .execute_group(run_key(&referee), std::slice::from_ref(&referee), &[0])
+            .pop()
+            .expect("one result per member");
+        let referee_model = result?.model;
         let (disagreement, at_freq_hz) =
             band_disagreement(model, &referee_model, &cv.probe_freqs_hz)?;
         Ok(CrossValidation {
             disagreement,
             at_freq_hz,
-            referee,
+            referee: referee.backend.kind(),
             referee_order: referee_model.order(),
         })
     }
 
-    /// Computes the optional [`Want`] by-products from a finished model.
-    #[allow(clippy::type_complexity)]
-    fn by_products(
-        &self,
-        model: &ReducedModel,
-        want: &Want,
-    ) -> Result<
-        (
-            Option<Vec<Complex64>>,
-            Option<Certificate>,
-            Option<SynthesizedCircuit>,
-        ),
-        SympvlError,
-    > {
-        let poles = if want.poles {
-            Some(model.poles()?)
-        } else {
-            None
-        };
-        let certificate = want
-            .certificate
-            .map(|tol| certify(model, tol))
-            .transpose()?;
-        let synthesis = want
-            .synthesis
-            .as_ref()
-            .map(|opts| synthesize_rc(model, opts))
-            .transpose()?;
-        Ok((poles, certificate, synthesis))
-    }
-
     /// Retains the model and assigns its id. Called in request-index
     /// order (sequentially) so ids are deterministic.
-    fn register(&self, pending: PendingOutcome) -> ReductionOutcome {
-        let model_id = relock(&self.store).adopt(Arc::new(pending.model.clone()));
-        ReductionOutcome {
-            model_id,
-            model: pending.model,
-            adaptive: pending.adaptive,
-            multipoint: pending.multipoint,
-            balanced: pending.balanced,
-            cross_validation: pending.cross_validation,
-            poles: pending.poles,
-            certificate: pending.certificate,
-            synthesis: pending.synthesis,
-        }
+    fn register(&self, mut outcome: ReductionOutcome) -> ReductionOutcome {
+        outcome.model_id = relock(&self.store).adopt(Arc::new(outcome.model.clone()));
+        outcome
     }
 }
 
@@ -1111,6 +944,36 @@ mod tests {
             session.lookup_model(ModelId(1)).unwrap_err(),
             SympvlError::ModelEvicted { id: 1 }
         );
+    }
+
+    #[test]
+    fn run_checkin_keeps_the_deeper_of_two_raced_runs() {
+        let session = session_with(8);
+        let opts = SympvlOptions::default();
+        let key = RunKey::of(&opts);
+        // With no run pooled under `key`, each checkout creates a fresh
+        // run, as two racing workers would.
+        let advanced = |order: usize| {
+            let mut run = session.checkout_or_create_run(&opts).unwrap();
+            run.model_at(&session.sys, order).unwrap();
+            run
+        };
+        let depth = advanced(8).reached_order();
+        assert!(depth > advanced(4).reached_order());
+        // Whichever order the two check in, the deeper run is kept.
+        for deeper_first in [true, false] {
+            let (deep, shallow) = (advanced(8), advanced(4));
+            let (first, second) = if deeper_first {
+                (deep, shallow)
+            } else {
+                (shallow, deep)
+            };
+            session.checkin_run(key, first);
+            session.checkin_run(key, second);
+            assert_eq!(session.cache_stats().retained_runs, 1);
+            let kept = session.checkout_or_create_run(&opts).unwrap();
+            assert_eq!(kept.reached_order(), depth, "deeper first: {deeper_first}");
+        }
     }
 
     #[test]

@@ -10,53 +10,15 @@
 use mpvl_circuit::generators::{package, random_rc, rc_ladder, PackageParams};
 use mpvl_circuit::MnaSystem;
 use mpvl_engine::{EvalRequest, ReduceSpec, ReductionSession, Want};
-use mpvl_la::{Complex64, Mat};
+use mpvl_la::Complex64;
 use mpvl_par::with_threads;
 use sympvl::{
     expansion_shift, reduce_multipoint, sampled_passivity, sympvl, Certificate, MultiPointOptions,
     ReducedModel, Shift, SympvlOptions,
 };
 
-struct Fnv(u64);
-
-impl Fnv {
-    fn new() -> Self {
-        Fnv(0xcbf2_9ce4_8422_2325)
-    }
-    fn eat(&mut self, bytes: &[u8]) {
-        for &b in bytes {
-            self.0 ^= u64::from(b);
-            self.0 = self.0.wrapping_mul(0x0000_0100_0000_01b3);
-        }
-    }
-    fn eat_f64(&mut self, v: f64) {
-        self.eat(&v.to_bits().to_le_bytes());
-    }
-    fn eat_mat(&mut self, m: &Mat<f64>) {
-        self.eat(&(m.nrows() as u64).to_le_bytes());
-        self.eat(&(m.ncols() as u64).to_le_bytes());
-        for &v in m.as_slice() {
-            self.eat_f64(v);
-        }
-    }
-    fn eat_cmat(&mut self, m: &Mat<Complex64>) {
-        self.eat(&(m.nrows() as u64).to_le_bytes());
-        self.eat(&(m.ncols() as u64).to_le_bytes());
-        for v in m.as_slice() {
-            self.eat_f64(v.re);
-            self.eat_f64(v.im);
-        }
-    }
-}
-
-fn model_fingerprint(m: &ReducedModel) -> u64 {
-    let mut h = Fnv::new();
-    h.eat_mat(m.t_matrix());
-    h.eat_mat(m.delta_matrix());
-    h.eat_mat(m.rho_matrix());
-    h.eat_f64(m.shift());
-    h.0
-}
+mod common;
+use common::{model_fingerprint, Fnv};
 
 /// A small §7.2-style package: 2 coupled signal pins (4 ports), a few
 /// hundred MNA unknowns — large enough to be interesting, small enough

@@ -8,51 +8,19 @@
 
 use mpvl_circuit::generators::{interconnect, rc_ladder, InterconnectParams};
 use mpvl_circuit::MnaSystem;
-use mpvl_engine::{EvalRequest, ReduceSpec, ReductionSession, SessionOptions, Want};
+use mpvl_engine::{
+    CrossValidateOptions, EvalRequest, ReduceSpec, ReductionOutcome, ReductionSession,
+    SessionOptions, Want,
+};
 use mpvl_la::{Complex64, Mat};
 use mpvl_par::with_threads;
-use sympvl::{reduce_adaptive, sympvl, AdaptiveOptions, ReducedModel, Shift, SympvlOptions};
+use sympvl::{
+    reduce_adaptive, sympvl, AdaptiveOptions, BtOptions, MultiPointOptions, Shift, SympvlError,
+    SympvlOptions,
+};
 
-struct Fnv(u64);
-
-impl Fnv {
-    fn new() -> Self {
-        Fnv(0xcbf2_9ce4_8422_2325)
-    }
-    fn eat(&mut self, bytes: &[u8]) {
-        for &b in bytes {
-            self.0 ^= u64::from(b);
-            self.0 = self.0.wrapping_mul(0x0000_0100_0000_01b3);
-        }
-    }
-    fn eat_f64(&mut self, v: f64) {
-        self.eat(&v.to_bits().to_le_bytes());
-    }
-    fn eat_mat(&mut self, m: &Mat<f64>) {
-        self.eat(&(m.nrows() as u64).to_le_bytes());
-        self.eat(&(m.ncols() as u64).to_le_bytes());
-        for &v in m.as_slice() {
-            self.eat_f64(v);
-        }
-    }
-    fn eat_cmat(&mut self, m: &Mat<Complex64>) {
-        self.eat(&(m.nrows() as u64).to_le_bytes());
-        self.eat(&(m.ncols() as u64).to_le_bytes());
-        for v in m.as_slice() {
-            self.eat_f64(v.re);
-            self.eat_f64(v.im);
-        }
-    }
-}
-
-fn model_fingerprint(m: &ReducedModel) -> u64 {
-    let mut h = Fnv::new();
-    h.eat_mat(m.t_matrix());
-    h.eat_mat(m.delta_matrix());
-    h.eat_mat(m.rho_matrix());
-    h.eat_f64(m.shift());
-    h.0
-}
+mod common;
+use common::{model_fingerprint, Fnv};
 
 fn interconnect_sys() -> MnaSystem {
     MnaSystem::assemble(&interconnect(&InterconnectParams {
@@ -347,4 +315,54 @@ fn wants_are_computed_from_the_same_model() {
         assert_eq!(a.im.to_bits(), b.im.to_bits());
     }
     assert!(outcome.certificate.is_some());
+}
+
+/// A result in full: its `Debug` text, the model fingerprint and the
+/// eval of the retained model (`Debug` abbreviates matrices).
+fn describe(session: &ReductionSession, result: Result<ReductionOutcome, SympvlError>) -> String {
+    let Ok(o) = result else {
+        return format!("{result:?}");
+    };
+    let mut h = Fnv::new();
+    let sweep = EvalRequest::new(o.model_id, vec![1e6, 1e8, 3e9]).unwrap();
+    for point in session.eval(&sweep).unwrap().points {
+        h.eat_cmat(&point.z);
+    }
+    format!("{o:?} {:x} {:x}", model_fingerprint(&o.model), h.0)
+}
+
+#[test]
+fn reduce_agrees_with_one_element_batches() {
+    let (lo, hi) = (1e7, 5e9);
+    let cv = || CrossValidateOptions::for_band(lo, hi).unwrap();
+    let fixed = |order: usize| ReduceSpec::pade_fixed(order).unwrap();
+    let want = Want::model_only().with_poles().with_certificate(1e-9);
+    let multi = MultiPointOptions::for_band(lo, hi).unwrap();
+    let specs = [
+        fixed(6),
+        fixed(12).with_want(want.unwrap()),
+        fixed(9),
+        ReduceSpec::pade_adaptive(AdaptiveOptions::for_band(lo, hi).unwrap()),
+        ReduceSpec::multipoint(multi.with_points(vec![lo, hi]).unwrap()),
+        ReduceSpec::balanced(BtOptions::for_band(lo, hi).unwrap()).with_cross_validation(cv()),
+        fixed(8).with_cross_validation(cv()),
+        // `G` floats under `Shift::None`: a typed error either way.
+        fixed(4).with_shift(Shift::None).unwrap(),
+        fixed(12),
+    ];
+    // One retained run, so the Padé requests also evict runs.
+    let opts = SessionOptions::new().with_max_retained_runs(1).unwrap();
+    let single = ReductionSession::with_options(interconnect_sys(), opts.clone());
+    let batched = ReductionSession::with_options(interconnect_sys(), opts);
+    for (k, spec) in specs.iter().enumerate() {
+        let batch = batched.reduce_batch(std::slice::from_ref(spec));
+        let [batch]: [_; 1] = batch.try_into().expect("one result");
+        let one = single.reduce(spec);
+        assert_eq!(
+            describe(&single, one),
+            describe(&batched, batch),
+            "request {k}"
+        );
+        assert_eq!(single.cache_stats(), batched.cache_stats(), "request {k}");
+    }
 }

@@ -12,7 +12,8 @@
 //!    ([`mpvl_circuit::to_spice`]) so formatting and node naming don't
 //!    fragment anything downstream.
 //! 2. **A content-addressed model registry** — the SHA-256 of the
-//!    canonical netlist plus the exact reduction options addresses the
+//!    canonical netlist plus the exact reduction options (backend kind
+//!    included, see [`ServiceRequest::from_spec`]) addresses the
 //!    reduced model. Same circuit + same options = same model bits, so
 //!    the second request anywhere (including another process, via the
 //!    persisted `<key>.rom` directory) is a registry hit that skips
@@ -30,6 +31,11 @@
 //!    ([`ServiceError::Panicked`]); the engine's locks recover from
 //!    poisoning, so one crashing request never bricks the session for
 //!    the next.
+//!
+//! [`ReductionService::submit`] is a one-element
+//! [`ReductionService::submit_batch`]: one path, panic-contained at
+//! every stage. Hits get their by-products from [`Want::by_products`],
+//! and the shards and registry memory tier are [`mpvl_engine::Lru`]s.
 //!
 //! Determinism is inherited, not re-proven: the service adds routing
 //! and caching around the engine, and every model or sweep it returns
@@ -49,11 +55,6 @@
 //! # Ok(())
 //! # }
 //! ```
-//!
-//! The registry key includes the *backend kind*: a Padé, a multi-point,
-//! and a balanced-truncation request over the same netlist serialize to
-//! disjoint canonical leaders, so their models can never alias one
-//! address — even at identical orders and bands.
 
 mod error;
 mod hash;

@@ -16,23 +16,19 @@
 //! immediately. Memory evictions never delete files.
 
 use crate::error::ServiceError;
+use mpvl_engine::Lru;
 use std::path::PathBuf;
 use std::sync::{Arc, Mutex, MutexGuard, PoisonError};
 use sympvl::ReducedModel;
 
-fn relock<T>(m: &Mutex<T>) -> MutexGuard<'_, T> {
-    m.lock().unwrap_or_else(PoisonError::into_inner)
-}
-
 pub(crate) struct RegistryInner {
-    /// Most recently used at the back.
-    entries: Vec<(String, Arc<ReducedModel>)>,
+    /// The memory tier.
+    pub(crate) entries: Lru<String, Arc<ReducedModel>>,
     pub(crate) hits: u64,
     pub(crate) misses: u64,
 }
 
 pub(crate) struct ModelRegistry {
-    capacity: usize,
     dir: Option<PathBuf>,
     inner: Mutex<RegistryInner>,
 }
@@ -40,18 +36,19 @@ pub(crate) struct ModelRegistry {
 impl ModelRegistry {
     pub(crate) fn new(capacity: usize, dir: Option<PathBuf>) -> Self {
         ModelRegistry {
-            capacity: capacity.max(1),
             dir,
             inner: Mutex::new(RegistryInner {
-                entries: Vec::new(),
+                entries: Lru::new(capacity),
                 hits: 0,
                 misses: 0,
             }),
         }
     }
 
+    /// The memory tier and counters, recovering from poison like every
+    /// service lock.
     pub(crate) fn lock(&self) -> MutexGuard<'_, RegistryInner> {
-        relock(&self.inner)
+        self.inner.lock().unwrap_or_else(PoisonError::into_inner)
     }
 
     fn rom_path(&self, key_hex: &str) -> Option<PathBuf> {
@@ -61,33 +58,24 @@ impl ModelRegistry {
     /// Looks a key up: memory first, then the persistent directory
     /// (a disk hit is promoted into memory). Both tiers count as hits.
     pub(crate) fn get(&self, key_hex: &str) -> Option<Arc<ReducedModel>> {
-        {
-            let mut inner = self.lock();
-            if let Some(pos) = inner.entries.iter().position(|(k, _)| k == key_hex) {
-                let entry = inner.entries.remove(pos);
-                inner.entries.push(entry);
-                inner.hits += 1;
-                mpvl_obs::counter_add("service", "registry_hits", 1);
-                return Some(inner.entries.last().expect("just pushed").1.clone());
-            }
-        }
+        let held = self.lock().entries.get(key_hex).cloned();
         // Disk probe outside the lock: parsing a ROM file must not
         // serialize every other registry access.
-        if let Some(path) = self.rom_path(key_hex) {
-            if let Ok(text) = std::fs::read_to_string(&path) {
-                if let Ok(model) = sympvl::read_model(&text) {
-                    let model = Arc::new(model);
-                    self.insert(key_hex, model.clone());
-                    let mut inner = self.lock();
-                    inner.hits += 1;
-                    mpvl_obs::counter_add("service", "registry_hits", 1);
-                    return Some(model);
-                }
-            }
+        let found = held.or_else(|| {
+            let text = std::fs::read_to_string(self.rom_path(key_hex)?).ok()?;
+            let model = Arc::new(sympvl::read_model(&text).ok()?);
+            self.insert(key_hex, model.clone());
+            Some(model)
+        });
+        let mut inner = self.lock();
+        if found.is_some() {
+            inner.hits += 1;
+            mpvl_obs::counter_add("service", "registry_hits", 1);
+        } else {
+            inner.misses += 1;
+            mpvl_obs::counter_add("service", "registry_misses", 1);
         }
-        self.lock().misses += 1;
-        mpvl_obs::counter_add("service", "registry_misses", 1);
-        None
+        found
     }
 
     /// Registers a model under its content address: persisted first
@@ -106,22 +94,12 @@ impl ModelRegistry {
         Ok(())
     }
 
+    /// Caches `model` in memory; a key already held keeps its model
+    /// and only becomes most recently used.
     fn insert(&self, key_hex: &str, model: Arc<ReducedModel>) {
         let mut inner = self.lock();
-        if let Some(pos) = inner.entries.iter().position(|(k, _)| k == key_hex) {
-            let entry = inner.entries.remove(pos);
-            inner.entries.push(entry);
-            return;
+        if inner.entries.get(key_hex).is_none() {
+            inner.entries.insert(key_hex.to_string(), model);
         }
-        if inner.entries.len() >= self.capacity {
-            inner.entries.remove(0);
-        }
-        inner.entries.push((key_hex.to_string(), model));
-    }
-}
-
-impl RegistryInner {
-    pub(crate) fn len(&self) -> usize {
-        self.entries.len()
     }
 }

@@ -22,7 +22,7 @@ use crate::hash::Sha256;
 use crate::registry::ModelRegistry;
 use mpvl_circuit::{parse_spice, to_spice, Circuit, MnaSystem};
 use mpvl_engine::{
-    AdaptiveInfo, Backend, BalancedInfo, CrossValidation, EvalPoint, EvalRequest, ModelId,
+    AdaptiveInfo, Backend, BalancedInfo, CrossValidation, EvalPoint, EvalRequest, Lru, ModelId,
     MultiPointInfo, OrderSpec, ReduceSpec, ReductionSession, SessionOptions, Want,
 };
 use mpvl_la::Complex64;
@@ -30,9 +30,7 @@ use mpvl_par::{BoundedQueue, PushError};
 use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::path::PathBuf;
 use std::sync::{Arc, Mutex, MutexGuard, PoisonError};
-use sympvl::{
-    certify, synthesize_rc, Certificate, PointPlacement, ReducedModel, Shift, SynthesizedCircuit,
-};
+use sympvl::{Certificate, PointPlacement, ReducedModel, Shift, SympvlError, SynthesizedCircuit};
 
 fn relock<T>(m: &Mutex<T>) -> MutexGuard<'_, T> {
     m.lock().unwrap_or_else(PoisonError::into_inner)
@@ -85,12 +83,7 @@ impl ServiceOptions {
     ///
     /// [`ServiceError::InvalidRequest`] for a zero capacity.
     pub fn with_max_sessions(mut self, n: usize) -> Result<Self, ServiceError> {
-        if n == 0 {
-            return Err(ServiceError::InvalidRequest {
-                reason: "session capacity must be at least 1".into(),
-            });
-        }
-        self.max_sessions = n;
+        self.max_sessions = at_least_one(n, "session")?;
         Ok(self)
     }
 
@@ -101,12 +94,7 @@ impl ServiceOptions {
     ///
     /// [`ServiceError::InvalidRequest`] for zero.
     pub fn with_max_in_flight(mut self, n: usize) -> Result<Self, ServiceError> {
-        if n == 0 {
-            return Err(ServiceError::InvalidRequest {
-                reason: "in-flight capacity must be at least 1".into(),
-            });
-        }
-        self.max_in_flight = n;
+        self.max_in_flight = at_least_one(n, "in-flight")?;
         Ok(self)
     }
 
@@ -116,12 +104,7 @@ impl ServiceOptions {
     ///
     /// [`ServiceError::InvalidRequest`] for zero.
     pub fn with_registry_capacity(mut self, n: usize) -> Result<Self, ServiceError> {
-        if n == 0 {
-            return Err(ServiceError::InvalidRequest {
-                reason: "registry capacity must be at least 1".into(),
-            });
-        }
-        self.registry_capacity = n;
+        self.registry_capacity = at_least_one(n, "registry")?;
         Ok(self)
     }
 
@@ -135,6 +118,16 @@ impl ServiceOptions {
     pub fn with_session(mut self, session: SessionOptions) -> Self {
         self.session = session;
         self
+    }
+}
+
+/// `n`, unless it is zero: then the builder of the `what` capacity fails.
+fn at_least_one(n: usize, what: &str) -> Result<usize, ServiceError> {
+    match n {
+        0 => Err(ServiceError::InvalidRequest {
+            reason: format!("{what} capacity must be at least 1"),
+        }),
+        n => Ok(n),
     }
 }
 
@@ -160,17 +153,16 @@ pub struct ServiceRequest {
     shard_hex: String,
     key_hex: String,
     spec: ReduceSpec,
-    eval_freqs_hz: Option<Vec<f64>>,
+    /// The sweep to run on the model; its id is set once it is known.
+    eval: Option<EvalRequest>,
     chaos_panic: bool,
 }
 
 impl ServiceRequest {
     /// Parses and validates `netlist`, deriving the canonical form and
     /// both content addresses, for any [`ReduceSpec`] backend. The
-    /// three backends serialize to disjoint canonical leaders (see
-    /// `canonical_reduction`), so a Padé, a multi-point, and a
-    /// balanced-truncation model over the same netlist can never alias
-    /// one registry address — even at identical orders and bands.
+    /// backend kind is part of the registry key, so models of different
+    /// backends never alias, even at identical orders and bands.
     ///
     /// # Errors
     ///
@@ -194,23 +186,9 @@ impl ServiceRequest {
             shard_hex,
             key_hex,
             spec,
-            eval_freqs_hz: None,
+            eval: None,
             chaos_panic: false,
         })
-    }
-
-    /// The by-products this request asks for.
-    fn want(&self) -> &Want {
-        &self.spec.want
-    }
-
-    /// The reduction to run on a registry miss: the caller's backend
-    /// and cross-validation, with by-products stripped — those are
-    /// computed in `finish`, shared with the registry-hit path.
-    fn engine_spec(&self) -> ReduceSpec {
-        let mut spec = self.spec.clone();
-        spec.want = Want::default();
-        spec
     }
 
     /// Also evaluate the reduced model at these frequencies (Hz).
@@ -220,17 +198,11 @@ impl ServiceRequest {
     /// [`ServiceError::InvalidRequest`] when the list is empty or has
     /// a non-finite entry.
     pub fn with_eval(mut self, freqs_hz: Vec<f64>) -> Result<Self, ServiceError> {
-        if freqs_hz.is_empty() {
-            return Err(ServiceError::InvalidRequest {
-                reason: "need at least one evaluation frequency".into(),
-            });
-        }
-        if let Some(&bad) = freqs_hz.iter().find(|f| !f.is_finite()) {
-            return Err(ServiceError::InvalidRequest {
-                reason: format!("evaluation frequencies must be finite, got {bad}"),
-            });
-        }
-        self.eval_freqs_hz = Some(freqs_hz);
+        let eval = EvalRequest::new(ModelId::first(), freqs_hz).map_err(|e| match e {
+            SympvlError::InvalidOptions { reason } => ServiceError::InvalidRequest { reason },
+            other => ServiceError::Reduce(other),
+        })?;
+        self.eval = Some(eval);
         Ok(self)
     }
 
@@ -301,10 +273,7 @@ fn canonical_reduction(spec: &ReduceSpec) -> String {
                         a.order_step,
                         a.max_order
                     ));
-                    for f in &a.probe_freqs_hz {
-                        s.push_str(&format!(" {:016x}", f.to_bits()));
-                    }
-                    s.push('\n');
+                    push_bits(&mut s, &a.probe_freqs_hz);
                 }
             }
             match p.sympvl.shift {
@@ -326,20 +295,14 @@ fn canonical_reduction(spec: &ReduceSpec) -> String {
             match &o.placement {
                 PointPlacement::Explicit(freqs) => {
                     s.push_str("points");
-                    for f in freqs {
-                        s.push_str(&format!(" {:016x}", f.to_bits()));
-                    }
-                    s.push('\n');
+                    push_bits(&mut s, freqs);
                 }
                 PointPlacement::Adaptive { max_points } => {
                     s.push_str(&format!("adaptive max_points={max_points}\n"));
                 }
             }
             s.push_str("probes");
-            for f in &o.probe_freqs_hz {
-                s.push_str(&format!(" {:016x}", f.to_bits()));
-            }
-            s.push('\n');
+            push_bits(&mut s, &o.probe_freqs_hz);
             &o.sympvl
         }
         Backend::BalancedTruncation(o) => {
@@ -365,10 +328,7 @@ fn canonical_reduction(spec: &ReduceSpec) -> String {
                 o.max_basis,
                 o.basis_tol.to_bits()
             ));
-            for f in &o.probe_freqs_hz {
-                s.push_str(&format!(" {:016x}", f.to_bits()));
-            }
-            s.push('\n');
+            push_bits(&mut s, &o.probe_freqs_hz);
             return s;
         }
     };
@@ -383,6 +343,14 @@ fn canonical_reduction(spec: &ReduceSpec) -> String {
     ));
     s.push_str(&format!("numerics {LANCZOS_NUMERICS}\n"));
     s
+}
+
+/// Appends each value as ` {bits:016x}`, then a newline.
+fn push_bits(s: &mut String, values: &[f64]) {
+    for v in values {
+        s.push_str(&format!(" {:016x}", v.to_bits()));
+    }
+    s.push('\n');
 }
 
 /// Result of one [`ServiceRequest`].
@@ -420,30 +388,22 @@ pub struct ServiceOutcome {
     pub eval: Option<Vec<EvalPoint>>,
 }
 
-/// A model resolved for a request — from the registry or freshly
-/// reduced — before by-products and eval are attached.
-struct Resolved {
-    model_id: ModelId,
-    model: Arc<ReducedModel>,
-    adaptive: Option<AdaptiveInfo>,
-    multipoint: Option<MultiPointInfo>,
-    balanced: Option<BalancedInfo>,
-    cross_validation: Option<CrossValidation>,
-    registry_hit: bool,
-}
-
-impl Resolved {
-    /// A registry hit: only the model survives persistence, so every
-    /// reduction-time diagnostic is absent by construction.
-    fn from_registry(model_id: ModelId, model: Arc<ReducedModel>) -> Self {
-        Resolved {
+impl ServiceOutcome {
+    /// An outcome before `finish` attaches by-products and eval (a
+    /// registry hit has no reduction diagnostics: only models persist).
+    fn resolved(model_id: ModelId, model: ReducedModel, registry_hit: bool) -> Self {
+        ServiceOutcome {
             model_id,
             model,
+            registry_hit,
             adaptive: None,
             multipoint: None,
             balanced: None,
             cross_validation: None,
-            registry_hit: true,
+            poles: None,
+            certificate: None,
+            synthesis: None,
+            eval: None,
         }
     }
 }
@@ -473,22 +433,6 @@ pub struct ServiceStats {
     pub registry_models: usize,
     /// Requests in flight right now.
     pub in_flight: usize,
-}
-
-#[derive(Default)]
-struct ServiceCounters {
-    admitted: u64,
-    rejected_overload: u64,
-    rejected_shutdown: u64,
-    panics: u64,
-    sessions_evicted: u64,
-}
-
-/// LRU of live sessions, keyed by shard (canonical-netlist) hash; most
-/// recently used at the back.
-struct ShardMap {
-    capacity: usize,
-    entries: Vec<(String, Arc<ReductionSession>)>,
 }
 
 /// An admission ticket: holds one slot of the in-flight bound, released
@@ -529,9 +473,11 @@ impl Drop for Ticket<'_> {
 pub struct ReductionService {
     opts: ServiceOptions,
     admission: BoundedQueue<()>,
-    shards: Mutex<ShardMap>,
+    /// Live sessions, keyed by shard (canonical-netlist) hash.
+    shards: Mutex<Lru<String, Arc<ReductionSession>>>,
     registry: ModelRegistry,
-    counters: Mutex<ServiceCounters>,
+    /// The service's own counters; `stats` fills in the rest.
+    counters: Mutex<ServiceStats>,
 }
 
 impl ReductionService {
@@ -539,18 +485,16 @@ impl ReductionService {
     pub fn new(opts: ServiceOptions) -> Self {
         ReductionService {
             admission: BoundedQueue::new(opts.max_in_flight),
-            shards: Mutex::new(ShardMap {
-                capacity: opts.max_sessions.max(1),
-                entries: Vec::new(),
-            }),
+            shards: Mutex::new(Lru::new(opts.max_sessions)),
             registry: ModelRegistry::new(opts.registry_capacity, opts.registry_dir.clone()),
-            counters: Mutex::new(ServiceCounters::default()),
+            counters: Mutex::new(ServiceStats::default()),
             opts,
         }
     }
 
     /// Serves one request end to end: admission, session resolution,
-    /// registry lookup, reduction on a miss, optional eval.
+    /// registry lookup, reduction on a miss, optional eval — as a
+    /// one-element [`ReductionService::submit_batch`].
     ///
     /// # Errors
     ///
@@ -562,7 +506,9 @@ impl ReductionService {
     pub fn submit(&self, request: &ServiceRequest) -> Result<ServiceOutcome, ServiceError> {
         let _ticket = self.admit()?;
         let _span = mpvl_obs::span("service", "submit");
-        self.contain(|| self.handle(request))
+        self.serve_group(std::slice::from_ref(request), &[0])
+            .pop()
+            .expect("one result per member")
     }
 
     /// Serves a batch. Admission is per request, in index order — when
@@ -594,7 +540,9 @@ impl ReductionService {
             }
         }
         for (_, members) in &groups {
-            self.process_group(requests, members, &mut slots);
+            for (&i, result) in members.iter().zip(self.serve_group(requests, members)) {
+                slots[i] = Some(result);
+            }
         }
         drop(tickets);
         slots
@@ -622,26 +570,17 @@ impl ReductionService {
         };
         let shard_hex = canonical_hash(&ckt).1.finish_hex();
         let mut shards = relock(&self.shards);
-        match shards.entries.iter().position(|(k, _)| *k == shard_hex) {
-            Some(pos) => {
-                shards.entries.remove(pos);
-                relock(&self.counters).sessions_evicted += 1;
-                mpvl_obs::counter_add("service", "sessions_evicted", 1);
-                true
-            }
-            None => false,
+        let live = shards.remove(&shard_hex).is_some();
+        if live {
+            self.count_session_eviction();
         }
+        live
     }
 
     /// The live session for a request's circuit, if one exists (for
     /// inspection — [`ReductionSession::cache_stats`] etc.).
     pub fn session_of(&self, request: &ServiceRequest) -> Option<Arc<ReductionSession>> {
-        let shards = relock(&self.shards);
-        shards
-            .entries
-            .iter()
-            .find(|(k, _)| *k == request.shard_hex)
-            .map(|(_, s)| s.clone())
+        relock(&self.shards).peek(&request.shard_hex).cloned()
     }
 
     /// One consistent snapshot of the SLO counters: the shard, registry,
@@ -652,16 +591,12 @@ impl ReductionService {
         let registry = self.registry.lock();
         let counters = relock(&self.counters);
         ServiceStats {
-            admitted: counters.admitted,
-            rejected_overload: counters.rejected_overload,
-            rejected_shutdown: counters.rejected_shutdown,
-            panics: counters.panics,
             registry_hits: registry.hits,
             registry_misses: registry.misses,
-            sessions_evicted: counters.sessions_evicted,
-            live_sessions: shards.entries.len(),
-            registry_models: registry.len(),
+            live_sessions: shards.len(),
+            registry_models: registry.entries.len(),
             in_flight: self.admission.len(),
+            ..counters.clone()
         }
     }
 
@@ -704,19 +639,18 @@ impl ReductionService {
         }
     }
 
+    fn count_session_eviction(&self) {
+        relock(&self.counters).sessions_evicted += 1;
+        mpvl_obs::counter_add("service", "sessions_evicted", 1);
+    }
+
     /// The session for a request's circuit, created (and LRU-inserted)
     /// on first use. Assembly happens under the shard lock: serializing
     /// session creation is what guarantees one session per circuit.
     fn session_for(&self, request: &ServiceRequest) -> Result<Arc<ReductionSession>, ServiceError> {
         let mut shards = relock(&self.shards);
-        if let Some(pos) = shards
-            .entries
-            .iter()
-            .position(|(k, _)| *k == request.shard_hex)
-        {
-            let entry = shards.entries.remove(pos);
-            shards.entries.push(entry);
-            return Ok(shards.entries.last().expect("just pushed").1.clone());
+        if let Some(session) = shards.get(&request.shard_hex) {
+            return Ok(session.clone());
         }
         let (ckt, _) = parse_spice(&request.canonical)
             .expect("canonical netlists round-trip through the parser");
@@ -725,124 +659,27 @@ impl ReductionService {
             sys,
             self.opts.session.clone(),
         ));
-        if shards.entries.len() >= shards.capacity {
-            shards.entries.remove(0);
-            relock(&self.counters).sessions_evicted += 1;
-            mpvl_obs::counter_add("service", "sessions_evicted", 1);
+        let evicted = shards.insert(request.shard_hex.clone(), session.clone());
+        if evicted.is_some() {
+            self.count_session_eviction();
         }
         mpvl_obs::counter_add("service", "sessions_created", 1);
-        shards
-            .entries
-            .push((request.shard_hex.clone(), session.clone()));
         Ok(session)
     }
 
-    fn handle(&self, request: &ServiceRequest) -> Result<ServiceOutcome, ServiceError> {
-        if request.chaos_panic {
-            panic!("chaos: injected request panic");
-        }
-        let session = self.session_for(request)?;
-        let resolved = match self.registry.get(&request.key_hex) {
-            Some(cached) => {
-                let id = session.adopt_model((*cached).clone());
-                Resolved::from_registry(id, cached)
-            }
-            None => {
-                // By-products are computed in `finish` (shared with the
-                // registry-hit path), so the engine spec carries no
-                // Want of its own — only the backend and any
-                // cross-validation.
-                let outcome = session.reduce(&request.engine_spec())?;
-                let model = Arc::new(outcome.model);
-                self.registry.put(&request.key_hex, model.clone())?;
-                Resolved {
-                    model_id: outcome.model_id,
-                    model,
-                    adaptive: outcome.adaptive,
-                    multipoint: outcome.multipoint,
-                    balanced: outcome.balanced,
-                    cross_validation: outcome.cross_validation,
-                    registry_hit: false,
-                }
-            }
-        };
-        self.finish(request, &session, resolved)
-    }
-
-    /// By-products and eval for a resolved model — shared by the single
-    /// and batch paths so hits and misses produce identical outcomes.
-    fn finish(
-        &self,
-        request: &ServiceRequest,
-        session: &ReductionSession,
-        resolved: Resolved,
-    ) -> Result<ServiceOutcome, ServiceError> {
-        let Resolved {
-            model_id,
-            model,
-            adaptive,
-            multipoint,
-            balanced,
-            cross_validation,
-            registry_hit,
-        } = resolved;
-        let want = request.want();
-        let poles = if want.poles {
-            Some(model.poles()?)
-        } else {
-            None
-        };
-        let certificate = want
-            .certificate
-            .map(|tol| certify(&model, tol))
-            .transpose()?;
-        let synthesis = want
-            .synthesis
-            .as_ref()
-            .map(|opts| synthesize_rc(&model, opts))
-            .transpose()?;
-        let eval = match &request.eval_freqs_hz {
-            Some(freqs) => {
-                let eval_request = EvalRequest::new(model_id, freqs.clone())?;
-                Some(session.eval(&eval_request)?.points)
-            }
-            None => None,
-        };
-        Ok(ServiceOutcome {
-            model_id,
-            model: (*model).clone(),
-            registry_hit,
-            adaptive,
-            multipoint,
-            balanced,
-            cross_validation,
-            poles,
-            certificate,
-            synthesis,
-            eval,
-        })
-    }
-
-    /// One shard group of a batch: registry probes per member (panic
-    /// contained per member), one `reduce_batch` for all misses, then
-    /// by-products/eval per member.
-    fn process_group(
+    /// Serves `members` of `requests` (one circuit), results in member
+    /// order. Every stage runs under [`ReductionService::contain`]:
+    /// session creation and the misses' one `reduce_batch` per group,
+    /// the registry probe, put, by-products and eval per member.
+    fn serve_group(
         &self,
         requests: &[ServiceRequest],
         members: &[usize],
-        slots: &mut [Option<Result<ServiceOutcome, ServiceError>>],
-    ) {
-        let session = match self.session_for(&requests[members[0]]) {
+    ) -> Vec<Result<ServiceOutcome, ServiceError>> {
+        let session = match self.contain(|| self.session_for(&requests[members[0]])) {
             Ok(session) => session,
-            Err(e) => {
-                for &i in members {
-                    slots[i] = Some(Err(e.clone()));
-                }
-                return;
-            }
+            Err(e) => return members.iter().map(|_| Err(e.clone())).collect(),
         };
-        // Probe the registry per member; the chaos seam fires here so a
-        // panicking member is contained without touching its peers.
         let probes: Vec<Result<Option<Arc<ReducedModel>>, ServiceError>> = members
             .iter()
             .map(|&i| {
@@ -854,54 +691,71 @@ impl ReductionService {
                 })
             })
             .collect();
-        // Every miss — whatever its backend — reduces through one
-        // `reduce_batch` call: the engine groups Padé specs by shared
-        // run state and runs multi-point and balanced-truncation specs
-        // as their own deterministic units, so the service stays
-        // bit-identical to the engine at any thread count.
+        // Every miss, whatever its backend, reduces through one
+        // `reduce_batch`, so the service stays bit-identical to the
+        // engine at any thread count. By-products are stripped here and
+        // computed in `finish`, shared with the registry-hit path.
         let misses: Vec<ReduceSpec> = members
             .iter()
             .zip(&probes)
             .filter(|(_, p)| matches!(p, Ok(None)))
-            .map(|(&i, _)| requests[i].engine_spec())
+            .map(|(&i, _)| requests[i].spec.clone().with_want(Want::default()))
             .collect();
-        let mut reduced = session.reduce_batch(&misses).into_iter();
-        for (&i, probe) in members.iter().zip(probes) {
-            let resolved = match probe {
-                Err(e) => Err(e),
-                Ok(Some(cached)) => {
-                    let id = session.adopt_model((*cached).clone());
-                    Ok(Resolved::from_registry(id, cached))
-                }
-                Ok(None) => {
-                    let outcome = reduced
-                        .next()
-                        .expect("one outcome per registry miss")
-                        .map_err(ServiceError::from);
-                    match outcome {
-                        Ok(outcome) => {
-                            let model = Arc::new(outcome.model);
-                            match self.registry.put(&requests[i].key_hex, model.clone()) {
-                                Ok(()) => Ok(Resolved {
-                                    model_id: outcome.model_id,
-                                    model,
-                                    adaptive: outcome.adaptive,
-                                    multipoint: outcome.multipoint,
-                                    balanced: outcome.balanced,
-                                    cross_validation: outcome.cross_validation,
-                                    registry_hit: false,
-                                }),
-                                Err(e) => Err(e),
-                            }
-                        }
-                        Err(e) => Err(e),
+        let mut reduced = match self.contain(|| Ok(session.reduce_batch(&misses))) {
+            Ok(outcomes) => outcomes
+                .into_iter()
+                .map(|r| r.map_err(ServiceError::from))
+                .collect(),
+            Err(e) => vec![Err(e); misses.len()],
+        }
+        .into_iter();
+        members
+            .iter()
+            .zip(probes)
+            .map(|(&i, probe)| {
+                let request = &requests[i];
+                match probe? {
+                    Some(cached) => self.contain(|| {
+                        let id = session.adopt_model((*cached).clone());
+                        let outcome = ServiceOutcome::resolved(id, (*cached).clone(), true);
+                        self.finish(request, &session, outcome)
+                    }),
+                    None => {
+                        let fresh = reduced.next().expect("one outcome per registry miss")?;
+                        self.contain(|| {
+                            self.registry
+                                .put(&request.key_hex, Arc::new(fresh.model.clone()))?;
+                            let outcome = ServiceOutcome {
+                                adaptive: fresh.adaptive,
+                                multipoint: fresh.multipoint,
+                                balanced: fresh.balanced,
+                                cross_validation: fresh.cross_validation,
+                                ..ServiceOutcome::resolved(fresh.model_id, fresh.model, false)
+                            };
+                            self.finish(request, &session, outcome)
+                        })
                     }
                 }
-            };
-            slots[i] = Some(
-                resolved.and_then(|r| self.contain(|| self.finish(&requests[i], &session, r))),
-            );
+            })
+            .collect()
+    }
+
+    /// By-products and eval for a resolved model — shared by registry
+    /// hits and fresh reductions so both produce identical outcomes.
+    fn finish(
+        &self,
+        request: &ServiceRequest,
+        session: &ReductionSession,
+        mut outcome: ServiceOutcome,
+    ) -> Result<ServiceOutcome, ServiceError> {
+        (outcome.poles, outcome.certificate, outcome.synthesis) =
+            request.spec.want.by_products(&outcome.model)?;
+        if let Some(eval) = &request.eval {
+            let mut eval = eval.clone();
+            eval.model = outcome.model_id;
+            outcome.eval = Some(session.eval(&eval)?.points);
         }
+        Ok(outcome)
     }
 }
 

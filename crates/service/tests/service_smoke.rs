@@ -7,20 +7,8 @@ use mpvl_engine::{EvalRequest, ReduceSpec, ReductionSession};
 use mpvl_service::{ReductionService, ServiceError, ServiceOptions, ServiceRequest};
 use std::path::PathBuf;
 
-fn ladder(n: usize, r: f64, c: f64) -> String {
-    let mut s = String::new();
-    for i in 1..=n {
-        let prev = if i == 1 {
-            "in".to_string()
-        } else {
-            format!("m{}", i - 1)
-        };
-        s.push_str(&format!("R{i} {prev} m{i} {r:e}\n"));
-        s.push_str(&format!("C{i} m{i} 0 {c:e}\n"));
-    }
-    s.push_str("Pin in 0\n.end\n");
-    s
-}
+mod common;
+use common::ladder;
 
 fn temp_dir(tag: &str) -> PathBuf {
     let dir = std::env::temp_dir().join(format!("mpvl-service-{tag}-{}", std::process::id()));
@@ -325,4 +313,34 @@ fn multipoint_requests_are_addressed_disjointly_and_serve_warm() {
     }
     assert!(batch[1].as_ref().unwrap().registry_hit);
     assert!(!batch[2].as_ref().unwrap().registry_hit);
+}
+
+#[test]
+fn registry_memory_tier_evicts_least_recently_used() {
+    // One memory slot and no directory: the memory tier is the registry.
+    let service = ReductionService::new(ServiceOptions::new().with_registry_capacity(1).unwrap());
+    let netlist = ladder(15, 90.0, 1e-12);
+    let request =
+        |order| ServiceRequest::from_spec(&netlist, ReduceSpec::pade_fixed(order).unwrap());
+    let (first, second) = (request(4).unwrap(), request(5).unwrap());
+    let cold = service.submit(&first).unwrap();
+    assert!(
+        service.submit(&first).unwrap().registry_hit,
+        "held in memory"
+    );
+    assert!(!service.submit(&second).unwrap().registry_hit);
+    // The second key evicted the first: a miss, reduced to the same bits.
+    let again = service.submit(&first).unwrap();
+    assert!(!cold.registry_hit && !again.registry_hit);
+    assert_eq!(
+        sympvl::write_model(&again.model),
+        sympvl::write_model(&cold.model)
+    );
+    let stats = service.stats();
+    let registry = (
+        stats.registry_hits,
+        stats.registry_misses,
+        stats.registry_models,
+    );
+    assert_eq!(registry, (1, 3, 1));
 }

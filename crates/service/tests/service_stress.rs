@@ -5,25 +5,15 @@
 //! engine's internal parallelism must not interact with client-side
 //! concurrency.
 
-use mpvl_engine::ReduceSpec;
-use mpvl_service::{ReductionService, ServiceOptions, ServiceRequest};
+use mpvl_engine::{ReduceSpec, Want};
+use mpvl_service::{
+    ReductionService, ServiceError, ServiceOptions, ServiceOutcome, ServiceRequest,
+};
 use std::collections::{HashMap, HashSet};
 use std::sync::Mutex;
 
-fn ladder(n: usize, r: f64, c: f64) -> String {
-    let mut s = String::new();
-    for i in 1..=n {
-        let prev = if i == 1 {
-            "in".to_string()
-        } else {
-            format!("m{}", i - 1)
-        };
-        s.push_str(&format!("R{i} {prev} m{i} {r:e}\n"));
-        s.push_str(&format!("C{i} m{i} 0 {c:e}\n"));
-    }
-    s.push_str("Pin in 0\n.end\n");
-    s
-}
+mod common;
+use common::ladder;
 
 /// FNV-1a over the exact bits of an eval sweep.
 fn eval_fingerprint(points: &[mpvl_engine::EvalPoint]) -> u64 {
@@ -204,4 +194,63 @@ fn session_eviction_churn_under_concurrency_keeps_bits_stable() {
         "shard switches must have churned: {stats:?}"
     );
     assert_eq!(stats.panics, 0);
+}
+
+/// A result in full: its `Debug` text, the exact model text and the
+/// eval fingerprint (`Debug` abbreviates matrices).
+fn describe(result: &Result<ServiceOutcome, ServiceError>) -> String {
+    let Ok(o) = result else {
+        return format!("{result:?}");
+    };
+    let eval = o.eval.as_deref().map(eval_fingerprint);
+    format!("{o:?} {} {eval:?}", sympvl::write_model(&o.model))
+}
+
+#[test]
+fn submit_agrees_with_one_element_batches() {
+    use sympvl::{BtOptions, MultiPointOptions, Shift};
+
+    let multi = MultiPointOptions::for_band(1e7, 1e10).unwrap();
+    let want = Want::model_only().with_poles().with_certificate(1e-9);
+    let specs = [
+        ReduceSpec::multipoint(multi.with_points(vec![1e7, 1e10]).unwrap()),
+        ReduceSpec::balanced(BtOptions::for_band(1e7, 1e10).unwrap()),
+        ReduceSpec::pade_fixed(5).unwrap().with_want(want.unwrap()),
+        // `G` floats under `Shift::None`: a typed error either way.
+        ReduceSpec::pade_fixed(4)
+            .unwrap()
+            .with_shift(Shift::None)
+            .unwrap(),
+    ];
+    let netlist = ladder(20, 60.0, 1e-12);
+    let mut sequence: Vec<ServiceRequest> = workload().into_iter().map(|(_, r)| r).collect();
+    for spec in specs {
+        let request = ServiceRequest::from_spec(&netlist, spec).unwrap();
+        sequence.push(request.with_eval(vec![1e8, 1e9]).unwrap());
+    }
+    sequence.push(sequence[0].clone().with_chaos_panic());
+    // Then everything again, newest first: warm hits until the three
+    // registry slots run out, with two live sessions churning.
+    let warm: Vec<ServiceRequest> = sequence.iter().rev().cloned().collect();
+    sequence.extend(warm);
+    let opts = ServiceOptions::new().with_max_sessions(2).unwrap();
+    let opts = opts.with_registry_capacity(3).unwrap();
+    let single = ReductionService::new(opts.clone());
+    let batched = ReductionService::new(opts);
+    for (k, request) in sequence.iter().enumerate() {
+        let batch = batched.submit_batch(std::slice::from_ref(request));
+        let [batch]: &[_; 1] = batch.as_slice().try_into().expect("one result");
+        assert_eq!(
+            describe(&single.submit(request)),
+            describe(batch),
+            "request {k}"
+        );
+        assert_eq!(single.stats(), batched.stats(), "request {k}");
+    }
+    let stats = single.stats();
+    assert!(
+        stats.registry_hits > 0 && stats.sessions_evicted > 0,
+        "{stats:?}"
+    );
+    assert_eq!(stats.panics, 2);
 }

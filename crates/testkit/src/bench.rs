@@ -115,34 +115,47 @@ impl Bench {
     /// Times `f`: `warmup` untimed calls, then one timed call per
     /// sample. Prints the summary line and records it for the JSON.
     pub fn bench(&mut self, name: &str, mut f: impl FnMut()) {
+        self.bench_interleaved(&mut [(name, &mut f)]);
+    }
+
+    /// Times cases in alternation, one call of each per warmup and sample
+    /// round, so a burst of machine load hits all alike: for cases whose
+    /// medians are compared. Each is recorded as [`Bench::bench`] does.
+    pub fn bench_interleaved(&mut self, cases: &mut [(&str, &mut dyn FnMut())]) {
         for _ in 0..self.warmup {
-            f();
+            for (_, f) in cases.iter_mut() {
+                f();
+            }
         }
-        let mut times = Vec::with_capacity(self.samples);
+        let mut samples = vec![Vec::with_capacity(self.samples); cases.len()];
         for _ in 0..self.samples {
-            let t0 = Instant::now();
-            f();
-            times.push(t0.elapsed().as_secs_f64());
+            for ((_, f), times) in cases.iter_mut().zip(&mut samples) {
+                let t0 = Instant::now();
+                f();
+                times.push(t0.elapsed().as_secs_f64());
+            }
         }
-        times.sort_by(|a, b| a.partial_cmp(b).expect("finite times"));
-        let n = times.len();
-        let pick = |q: f64| times[(((n - 1) as f64) * q).round() as usize];
-        let result = BenchResult {
-            name: name.to_string(),
-            samples: n,
-            median_s: pick(0.5),
-            p90_s: pick(0.9),
-            min_s: times[0],
-            mean_s: times.iter().sum::<f64>() / n as f64,
-        };
-        mpvl_obs::cprintln!(
-            "{:<40} median {:>12} p90 {:>12} min {:>12}",
-            result.name,
-            fmt_time(result.median_s),
-            fmt_time(result.p90_s),
-            fmt_time(result.min_s),
-        );
-        self.results.push(result);
+        for ((name, _), mut times) in cases.iter().zip(samples) {
+            times.sort_by(|a, b| a.partial_cmp(b).expect("finite times"));
+            let n = times.len();
+            let pick = |q: f64| times[(((n - 1) as f64) * q).round() as usize];
+            let result = BenchResult {
+                name: name.to_string(),
+                samples: n,
+                median_s: pick(0.5),
+                p90_s: pick(0.9),
+                min_s: times[0],
+                mean_s: times.iter().sum::<f64>() / n as f64,
+            };
+            mpvl_obs::cprintln!(
+                "{:<40} median {:>12} p90 {:>12} min {:>12}",
+                result.name,
+                fmt_time(result.median_s),
+                fmt_time(result.p90_s),
+                fmt_time(result.min_s),
+            );
+            self.results.push(result);
+        }
     }
 
     /// Records an already-computed scalar (e.g. a speedup ratio derived

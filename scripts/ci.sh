@@ -13,13 +13,16 @@ cd "$(dirname "$0")/.."
 # smoke_bench <bin> <result names...>: runs one mpvl-bench bin with
 # reduced samples, then checks that target/bench/BENCH_<suite>.json
 # (suite = bin minus its bench_ prefix) names its suite and holds every
-# given result. Env assignments in front of the call reach the bin.
+# given result. Env assignments in front of the call reach the bin;
+# MPVL_BENCH_SAMPLES=<n> in front sets that bin's sample count
+# (default 3).
 smoke_bench() {
     local bin=$1 suite=${1#bench_}
     shift
     local json=target/bench/BENCH_$suite.json
-    echo "==> smoke bench ($bin, reduced samples)"
-    MPVL_BENCH_WARMUP=1 MPVL_BENCH_SAMPLES=3 \
+    local samples=${MPVL_BENCH_SAMPLES:-3}
+    echo "==> smoke bench ($bin, $samples samples)"
+    MPVL_BENCH_WARMUP=1 MPVL_BENCH_SAMPLES=$samples \
         cargo run -q --release --offline -p mpvl-bench --bin "$bin"
     test -s "$json"
     grep -q "\"suite\": *\"$suite\"" "$json" || {
@@ -77,7 +80,11 @@ echo "==> cargo test -q --offline (MPVL_THREADS=1: single-thread fallback)"
 # crates/sim/tests/par_determinism.rs and the mpvl-par unit tests.
 MPVL_THREADS=1 cargo test -q --offline
 
-smoke_bench bench_sparse_ldlt ldlt_numeric_scalar/1360 ldlt_numeric_supernodal/1360 \
+# Gate 1 compares two sub-millisecond refactor medians, now timed
+# interleaved. On a shared 2-vCPU VM, reruns at 3-101 back-to-back
+# samples crossed its 1.05 bound about one time in eight; interleaved,
+# 25 samples stayed at 0.80-0.98 (EXPERIMENTS.md).
+MPVL_BENCH_SAMPLES=25 smoke_bench bench_sparse_ldlt ldlt_numeric_scalar/1360 ldlt_numeric_supernodal/1360 \
     speedup/supernodal_vs_scalar/1360 ldlt_ordering/mindegree_grid/40401 \
     ldlt_ordering/explicit_md_grid/40401
 
