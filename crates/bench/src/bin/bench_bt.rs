@@ -4,7 +4,9 @@
 //! The headline pair is `bt/worst_band_error` vs
 //! `pade/worst_band_error` at q = 16: the band-global Hankel criterion
 //! must beat a mid-band Padé expansion of the same order on
-//! worst-over-band relative error. An accuracy-at-equal-order table at
+//! worst-over-band relative error (Gate 6, checked here; the band-global
+//! Hankel criterion vs local moment matching is algorithmic, so it holds
+//! on any core count). An accuracy-at-equal-order table at
 //! q = 8/12/16 rides along for the EXPERIMENTS table, plus the
 //! extended-Krylov Lyapunov solve timing (`bt/hankel_spectrum`) and the
 //! full reduction timings for both backends.
@@ -15,8 +17,9 @@
 //! function is smooth (see the `sympvl::balanced` module docs).
 //!
 //! Run with `cargo run --release -p mpvl-bench --bin bench_bt`;
-//! writes `target/bench/BENCH_bt.json`.
+//! writes `target/bench/BENCH_bt.json`, then checks the gate.
 
+use mpvl_bench::Gates;
 use mpvl_circuit::generators::{peec, PeecParams};
 use mpvl_circuit::MnaSystem;
 use mpvl_la::Complex64;
@@ -118,6 +121,25 @@ fn main() {
         }
     }
 
-    bench.finish();
-    mpvl_bench::export_obs();
+    let mut gates = Gates::new("bt");
+    gates.check(
+        &bench,
+        ["bt/worst_band_error", "pade/worst_band_error"],
+        |[eb, ep]| {
+            if !(eb.is_finite() && ep.is_finite()) || eb >= ep {
+                Err(format!(
+                    "balanced-truncation worst-band error {eb:.3e} is not below the \
+                     equal-order mid-band Padé error {ep:.3e} — the band-global Hankel \
+                     criterion is not paying for its Lyapunov solve"
+                ))
+            } else {
+                Ok(format!(
+                    "balanced-truncation worst-band error {eb:.3e} vs equal-order Padé \
+                     {ep:.3e} on the PEEC band ({:.2}x tighter)",
+                    ep / eb
+                ))
+            }
+        },
+    );
+    gates.finish(bench);
 }

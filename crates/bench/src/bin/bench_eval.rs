@@ -6,9 +6,13 @@
 //! same order × point-count grid and records the speedup.
 //!
 //! Run with `cargo run --release -p mpvl-bench --bin bench_eval`;
-//! writes `target/bench/BENCH_eval.json`. The `40x2001` pair is gated by
-//! `bench_gate` (compiled must beat LU).
+//! writes `target/bench/BENCH_eval.json`, then checks Gate 3: the
+//! compiled plan must be strictly faster than the LU path on the
+//! order-40 × 2001-point sweep. The comparison is algorithmic (O(q·p²)
+//! vs O(q³) per point, both single-threaded inner loops), so it holds on
+//! any core count.
 
+use mpvl_bench::Gates;
 use mpvl_circuit::generators::{interconnect, package, InterconnectParams, PackageParams};
 use mpvl_circuit::MnaSystem;
 use mpvl_la::{Complex64, Mat};
@@ -86,6 +90,24 @@ fn main() {
     let model = sympvl(&rlc, 24, &SympvlOptions::default()).expect("reduce package");
     bench_pair(&mut bench, &model, 24, 201);
 
-    bench.finish();
-    mpvl_bench::export_obs();
+    let mut gates = Gates::new("eval");
+    gates.check(
+        &bench,
+        ["eval_lu/40x2001", "eval_compiled/40x2001"],
+        |[lu, compiled]| {
+            if compiled >= lu {
+                Err(format!(
+                    "compiled eval at 40x2001 is not faster than LU: \
+                     {compiled:.3e}s vs {lu:.3e}s"
+                ))
+            } else {
+                Ok(format!(
+                    "compiled eval {compiled:.3e}s vs LU {lu:.3e}s at 40x2001 \
+                     (speedup {:.2}x)",
+                    lu / compiled
+                ))
+            }
+        },
+    );
+    gates.finish(bench);
 }

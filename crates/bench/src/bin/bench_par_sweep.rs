@@ -8,7 +8,17 @@
 //! writes `target/bench/BENCH_par_sweep.json`. `MPVL_THREADS` only
 //! affects the reported ambient default — the measured cases pin their
 //! worker counts with `mpvl_par::with_threads`.
+//!
+//! Then checks Gate 2, thread scaling of the large AC sweep: the
+//! threads=4 median of `ac_sweep_large8` must be strictly below the
+//! threads=1 median. On a machine without real parallelism
+//! (available_parallelism < 2) that is physically impossible, so the
+//! strict check is skipped loudly and replaced by a
+//! no-catastrophic-regression bound (threads=4 within 1.25× of
+//! threads=1: the chunked scheduler must not melt down when
+//! oversubscribed on one core).
 
+use mpvl_bench::Gates;
 use mpvl_circuit::generators::{interconnect, package, InterconnectParams, PackageParams};
 use mpvl_circuit::MnaSystem;
 use mpvl_par::with_threads;
@@ -69,6 +79,47 @@ fn main() {
         bench.push_value("speedup/large8_t4_vs_t1", t1 / t4);
     }
 
-    bench.finish();
-    mpvl_bench::export_obs();
+    let mut gates = Gates::new("par_sweep");
+    let cores = std::thread::available_parallelism()
+        .map(std::num::NonZeroUsize::get)
+        .unwrap_or(1);
+    const OVERSUBSCRIBE_TOLERANCE: f64 = 1.25;
+    if cores < 2 {
+        gates.skip(&format!(
+            "strict threads=4 < threads=1 check needs >= 2 cores, this machine \
+             reports {cores}; checking oversubscription bound instead"
+        ));
+    }
+    gates.check(
+        &bench,
+        ["ac_sweep_large8/threads=1", "ac_sweep_large8/threads=4"],
+        |[t1, t4]| {
+            if cores >= 2 {
+                if t4 >= t1 {
+                    Err(format!(
+                        "ac_sweep_large8 threads=4 median {t4:.3e}s is not below \
+                         threads=1 median {t1:.3e}s on a {cores}-core machine"
+                    ))
+                } else {
+                    Ok(format!(
+                        "ac_sweep_large8 threads=4 {t4:.3e}s < threads=1 {t1:.3e}s \
+                         (speedup {:.2}x)",
+                        t1 / t4
+                    ))
+                }
+            } else if t4 > t1 * OVERSUBSCRIBE_TOLERANCE {
+                Err(format!(
+                    "ac_sweep_large8 threads=4 median {t4:.3e}s exceeds \
+                     {OVERSUBSCRIBE_TOLERANCE}x the threads=1 median {t1:.3e}s on one core \
+                     (the chunked scheduler should be near-free when oversubscribed)"
+                ))
+            } else {
+                Ok(format!(
+                    "ac_sweep_large8 threads=4 {t4:.3e}s within \
+                     {OVERSUBSCRIBE_TOLERANCE}x of threads=1 {t1:.3e}s on one core"
+                ))
+            }
+        },
+    );
+    gates.finish(bench);
 }

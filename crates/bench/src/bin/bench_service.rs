@@ -13,13 +13,15 @@
 //!   steady-state shape of a server juggling several netlists.
 //!
 //! The derived `registry/warm_hit_ratio` value (hits / lookups on the
-//! warm service) feeds the bench_gate regression check: a warm service
-//! replaying known work must stay registry-bound, and the warm submit
-//! must beat the cold one.
+//! warm service) feeds Gate 4: a warm service replaying known work must
+//! stay registry-bound (hit ratio ≥ 0.5), and a registry-hit submit must
+//! be strictly faster than a cold one. Both comparisons are structural
+//! (a hit skips the whole reduction), so they hold on any core count.
 //!
 //! Run with `cargo run --release -p mpvl-bench --bin bench_service`;
-//! writes `target/bench/BENCH_service.json`.
+//! writes `target/bench/BENCH_service.json`, then checks the gate.
 
+use mpvl_bench::Gates;
 use mpvl_engine::ReduceSpec;
 use mpvl_service::{ReductionService, ServiceOptions, ServiceRequest};
 use mpvl_sim::log_space;
@@ -97,6 +99,34 @@ fn main() {
     };
     bench.push_value("registry/warm_hit_ratio", ratio);
 
-    bench.finish();
-    mpvl_bench::export_obs();
+    let mut gates = Gates::new("service");
+    const MIN_HIT_RATIO: f64 = 0.5;
+    gates.check(
+        &bench,
+        [
+            "registry/warm_hit_ratio",
+            "service_submit/cold",
+            "service_submit/registry_warm",
+        ],
+        |[hit_ratio, cold, warm_submit]| {
+            if hit_ratio < MIN_HIT_RATIO {
+                Err(format!(
+                    "warm service registry hit ratio {hit_ratio:.3} is below \
+                     {MIN_HIT_RATIO} — repeat submits are not being content-addressed"
+                ))
+            } else if warm_submit >= cold {
+                Err(format!(
+                    "registry-warm submit {warm_submit:.3e}s is not faster than a cold \
+                     submit {cold:.3e}s — a hit should skip the whole reduction"
+                ))
+            } else {
+                Ok(format!(
+                    "registry hit ratio {hit_ratio:.3}, warm submit {warm_submit:.3e}s vs \
+                     cold {cold:.3e}s (speedup {:.2}x)",
+                    cold / warm_submit
+                ))
+            }
+        },
+    );
+    gates.finish(bench);
 }

@@ -2,12 +2,15 @@
 //! cost vs size, and the effect of the fill-reducing ordering.
 //!
 //! Run with `cargo run --release -p mpvl-bench --bin bench_sparse_ldlt`;
-//! writes `target/bench/BENCH_sparse_ldlt.json`.
+//! writes `target/bench/BENCH_sparse_ldlt.json`, then checks Gate 1: the
+//! supernodal numeric factor must not be slower than the reference
+//! scalar kernel at n = 1360 (a 5 % median tolerance absorbs timer
+//! noise).
 
-use mpvl_bench::rc_grid;
+use mpvl_bench::{rc_grid, Gates};
 use mpvl_circuit::generators::{interconnect, InterconnectParams};
 use mpvl_circuit::MnaSystem;
-use mpvl_sparse::{min_degree, quotient_min_degree, NumericLdlt, Ordering, SymbolicLdlt};
+use mpvl_sparse::{quotient_min_degree, NumericLdlt, Ordering, SymbolicLdlt};
 use mpvl_testkit::bench::Bench;
 use std::sync::Arc;
 
@@ -48,8 +51,8 @@ fn main() {
     // Numeric-kernel comparison at the largest case: the reference
     // scalar up-looking kernel vs the supernodal kernel (serial, and
     // with the ambient worker count) on a shared symbolic analysis —
-    // the repeated-refactor cost every sweep point pays. `bench_gate`
-    // compares the first two medians, so they are timed interleaved.
+    // the repeated-refactor cost every sweep point pays. Gate 1 compares
+    // the first two medians, so they are timed interleaved.
     let (n, k) = systems().pop().expect("nonempty");
     let sym = Arc::new(SymbolicLdlt::analyze(&k, Ordering::MinDegree).expect("analyze"));
     let mut num = NumericLdlt::new(Arc::clone(&sym));
@@ -89,18 +92,33 @@ fn main() {
     bench.bench("ldlt_ordering/quotient_md", || {
         NumericLdlt::factor_with_perm(&k, quotient_min_degree(&k.adjacency())).expect("factor");
     });
-    // 40,401 unknowns: `MinDegree` takes the quotient path here, and
-    // `explicit_md_grid` times the explicit form it replaced.
+    // 40,401 unknowns: `MinDegree` takes the quotient path here.
     let grid = rc_grid(201);
     let grid = grid.g.add_scaled(1.0, &grid.c, 1e9);
     let n = grid.nrows();
     bench.bench(&format!("ldlt_ordering/mindegree_grid/{n}"), || {
         NumericLdlt::factor(&grid, Ordering::MinDegree).expect("factor");
     });
-    bench.bench(&format!("ldlt_ordering/explicit_md_grid/{n}"), || {
-        NumericLdlt::factor_with_perm(&grid, min_degree(&grid.adjacency())).expect("factor");
-    });
 
-    bench.finish();
-    mpvl_bench::export_obs();
+    let mut gates = Gates::new("sparse_ldlt");
+    const FACTOR_TOLERANCE: f64 = 1.05;
+    gates.check(
+        &bench,
+        ["ldlt_numeric_scalar/1360", "ldlt_numeric_supernodal/1360"],
+        |[scalar, supernodal]| {
+            if supernodal > scalar * FACTOR_TOLERANCE {
+                Err(format!(
+                    "supernodal factor at n=1360 is slower than scalar: \
+                     {supernodal:.3e}s vs {scalar:.3e}s (allowed {FACTOR_TOLERANCE}x)"
+                ))
+            } else {
+                Ok(format!(
+                    "supernodal factor {supernodal:.3e}s vs scalar {scalar:.3e}s at n=1360 \
+                     (ratio {:.3})",
+                    supernodal / scalar
+                ))
+            }
+        },
+    );
+    gates.finish(bench);
 }

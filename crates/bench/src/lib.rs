@@ -1,9 +1,14 @@
-//! Shared plumbing for the figure-regeneration binaries.
+//! Shared plumbing for the figure-regeneration and bench binaries.
 //!
-//! Each binary under `src/bin/` regenerates one table or figure of the
-//! paper (see `DESIGN.md` §3 for the index), printing an aligned table to
-//! stdout and writing a CSV under `target/figures/` for plotting.
+//! Each `fig*`/`ablation_*` binary under `src/bin/` regenerates one table
+//! or figure of the paper (see `DESIGN.md` §3 for the index), printing an
+//! aligned table to stdout and writing a CSV under `target/figures/` for
+//! plotting. Each `bench_*` binary times its cases with
+//! [`mpvl_testkit::bench::Bench`]; the six that guard a kernel in CI
+//! check their gate on the cases they just recorded, through [`Gates`],
+//! and exit nonzero when it fails.
 
+use mpvl_testkit::bench::Bench;
 use std::fs;
 use std::io::Write as _;
 use std::path::PathBuf;
@@ -49,6 +54,75 @@ pub fn export_obs() {
         Ok(Some(path)) => mpvl_obs::cprintln!("wrote obs export {}", path.display()),
         Ok(None) => {}
         Err(e) => mpvl_obs::ceprintln!("warning: obs export failed: {e}"),
+    }
+}
+
+/// The CI gates of one bench binary, checked against the medians and
+/// values its own [`Bench`] recorded — no second process reads the
+/// JSON back.
+pub struct Gates {
+    suite: &'static str,
+    failures: usize,
+}
+
+impl Gates {
+    /// Gates over the cases of the bench suite named `suite`.
+    pub fn new(suite: &'static str) -> Self {
+        Gates { suite, failures: 0 }
+    }
+
+    /// Checks one gate: `check` gets the medians of `cases` in order (a
+    /// [`Bench::push_value`] reads back as its value) and returns the
+    /// `ok` line or the `FAIL` line. A missing case fails without
+    /// calling `check`.
+    pub fn check<const N: usize>(
+        &mut self,
+        bench: &Bench,
+        cases: [&str; N],
+        check: impl FnOnce([f64; N]) -> Result<String, String>,
+    ) {
+        match self.verdict(bench, cases, check) {
+            Ok(line) => mpvl_obs::cprintln!("gate ok: {line}"),
+            Err(line) => {
+                mpvl_obs::ceprintln!("gate FAIL: {line}");
+                self.failures += 1;
+            }
+        }
+    }
+
+    /// Reports that a gate checks a weaker bound on this machine, and why.
+    pub fn skip(&self, why: &str) {
+        mpvl_obs::cprintln!("gate SKIP: {why}");
+    }
+
+    /// Writes the bench JSON and the obs export, then exits nonzero if
+    /// any gate failed: a failed run keeps its record for diagnosis.
+    pub fn finish(self, bench: Bench) {
+        bench.finish();
+        export_obs();
+        if self.failed() {
+            mpvl_obs::ceprintln!("{} gate(s) failed", self.failures);
+            std::process::exit(1);
+        }
+    }
+
+    fn verdict<const N: usize>(
+        &self,
+        bench: &Bench,
+        cases: [&str; N],
+        check: impl FnOnce([f64; N]) -> Result<String, String>,
+    ) -> Result<String, String> {
+        let mut values = [0.0; N];
+        for (value, name) in values.iter_mut().zip(cases) {
+            *value = bench
+                .median_of(name)
+                .ok_or_else(|| format!("BENCH_{}.json has no result \"{name}\"", self.suite))?;
+        }
+        check(values)
+    }
+
+    fn failed(&self) -> bool {
+        self.failures > 0
     }
 }
 
@@ -111,6 +185,62 @@ mod tests {
         assert_eq!(median(&[4.0, 1.0, 3.0, 2.0]), 2.5);
         assert_eq!(median(&[]), 0.0);
         assert_eq!(max(&[1.0, 5.0, 2.0]), 5.0);
+    }
+
+    fn recorded() -> Bench {
+        let mut bench = Bench::with_counts("gate_test", 0, 1);
+        bench.push_value("fast", 1.0);
+        bench.push_value("slow", 2.0);
+        bench
+    }
+
+    fn faster([fast, slow]: [f64; 2]) -> Result<String, String> {
+        if fast < slow {
+            Ok(format!("{fast} < {slow}"))
+        } else {
+            Err(format!("{fast} is not below {slow}"))
+        }
+    }
+
+    #[test]
+    fn a_gate_passes_and_fails_on_the_recorded_values() {
+        let bench = recorded();
+        let gates = Gates::new("gate_test");
+        assert_eq!(
+            gates.verdict(&bench, ["fast", "slow"], faster),
+            Ok("1 < 2".into())
+        );
+        assert_eq!(
+            gates.verdict(&bench, ["slow", "fast"], faster),
+            Err("2 is not below 1".into())
+        );
+    }
+
+    #[test]
+    fn a_missing_case_fails_naming_it() {
+        let bench = recorded();
+        let gates = Gates::new("gate_test");
+        let verdict = gates.verdict(&bench, ["fast", "absent"], |_| -> Result<String, String> {
+            panic!("check must not run without its inputs")
+        });
+        assert_eq!(
+            verdict,
+            Err("BENCH_gate_test.json has no result \"absent\"".into())
+        );
+    }
+
+    #[test]
+    fn any_failed_gate_fails_the_run() {
+        let bench = recorded();
+        let mut gates = Gates::new("gate_test");
+        gates.check(&bench, ["fast", "slow"], faster);
+        assert!(!gates.failed());
+        gates.check(&bench, ["slow", "fast"], faster);
+        gates.check(&bench, ["fast", "slow"], faster);
+        assert!(gates.failed(), "a later pass must not clear a failure");
+        let mut gates = Gates::new("gate_test");
+        gates.check(&bench, ["absent"], |[_]| Ok(String::new()));
+        assert!(gates.failed(), "a missing case fails the run");
     }
 
     #[test]

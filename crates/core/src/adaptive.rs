@@ -59,21 +59,13 @@ impl AdaptiveOptions {
     /// endpoints finite — a zero or inverted band has no frequencies to
     /// probe.
     pub fn for_band(f_lo: f64, f_hi: f64) -> Result<Self, SympvlError> {
-        if !(f_lo.is_finite() && f_hi.is_finite() && f_lo > 0.0 && f_hi > f_lo) {
-            return Err(SympvlError::InvalidOptions {
-                reason: format!("need a finite positive band with f_hi > f_lo, got {f_lo}..{f_hi}"),
-            });
-        }
-        let probes = 9;
-        let (l0, l1) = (f_lo.ln(), f_hi.ln());
+        let probe_freqs_hz = band_probes(f_lo, f_hi, 9)?;
         Ok(AdaptiveOptions {
             tol: 1e-4,
             initial_order: 4,
             order_step: 4,
             max_order: 200,
-            probe_freqs_hz: (0..probes)
-                .map(|i| (l0 + (l1 - l0) * i as f64 / (probes - 1) as f64).exp())
-                .collect(),
+            probe_freqs_hz,
             sympvl: SympvlOptions::default(),
         })
     }
@@ -148,19 +140,7 @@ impl AdaptiveOptions {
     /// [`SympvlError::InvalidOptions`] when the list is empty or any
     /// frequency is non-finite or not positive.
     pub fn with_probe_freqs(mut self, probe_freqs_hz: Vec<f64>) -> Result<Self, SympvlError> {
-        if probe_freqs_hz.is_empty() {
-            return Err(SympvlError::InvalidOptions {
-                reason: "need at least one probe frequency".into(),
-            });
-        }
-        if let Some(&bad) = probe_freqs_hz
-            .iter()
-            .find(|f| !(f.is_finite() && **f > 0.0))
-        {
-            return Err(SympvlError::InvalidOptions {
-                reason: format!("probe frequencies must be finite and positive, got {bad}"),
-            });
-        }
+        check_probe_freqs(&probe_freqs_hz)?;
         self.probe_freqs_hz = probe_freqs_hz;
         Ok(self)
     }
@@ -317,6 +297,45 @@ pub(crate) fn difference_at(
     };
     let scale = zb.max_abs().max(1e-300);
     Ok(Some((&za - &zb).max_abs() / scale))
+}
+
+/// `probes` log-spaced probe frequencies over `f_lo..f_hi`, the default
+/// grid of every `for_band` builder.
+///
+/// # Errors
+///
+/// [`SympvlError::InvalidOptions`] unless `0 < f_lo < f_hi` with both
+/// endpoints finite.
+pub(crate) fn band_probes(f_lo: f64, f_hi: f64, probes: usize) -> Result<Vec<f64>, SympvlError> {
+    if !(f_lo.is_finite() && f_hi.is_finite() && f_lo > 0.0 && f_hi > f_lo) {
+        return Err(SympvlError::InvalidOptions {
+            reason: format!("need a finite positive band with f_hi > f_lo, got {f_lo}..{f_hi}"),
+        });
+    }
+    Ok(mpvl_sim::log_space(f_lo, f_hi, probes))
+}
+
+/// The check every `with_probe_freqs` applies to a replacement list.
+///
+/// # Errors
+///
+/// [`SympvlError::InvalidOptions`] when the list is empty or any
+/// frequency is non-finite or not positive.
+pub(crate) fn check_probe_freqs(probe_freqs_hz: &[f64]) -> Result<(), SympvlError> {
+    if probe_freqs_hz.is_empty() {
+        return Err(SympvlError::InvalidOptions {
+            reason: "need at least one probe frequency".into(),
+        });
+    }
+    if let Some(&bad) = probe_freqs_hz
+        .iter()
+        .find(|f| !(f.is_finite() && **f > 0.0))
+    {
+        return Err(SympvlError::InvalidOptions {
+            reason: format!("probe frequencies must be finite and positive, got {bad}"),
+        });
+    }
+    Ok(())
 }
 
 /// Worst entrywise relative difference between two models over the probes.

@@ -77,7 +77,7 @@
 
 use std::sync::Arc;
 
-use crate::adaptive::band_disagreement;
+use crate::adaptive::{band_disagreement, band_probes, check_probe_freqs};
 use crate::multipoint::{assemble_merged, expansion_shift};
 use crate::reduce::{factor_target, FactorTarget};
 use crate::{GFactor, KrylovOperator, LinearOperator, ReducedModel, SympvlError};
@@ -143,13 +143,7 @@ impl BtOptions {
     /// [`SympvlError::InvalidOptions`] unless `0 < f_lo < f_hi` with
     /// both endpoints finite.
     pub fn for_band(f_lo: f64, f_hi: f64) -> Result<Self, SympvlError> {
-        if !(f_lo.is_finite() && f_hi.is_finite() && f_lo > 0.0 && f_hi > f_lo) {
-            return Err(SympvlError::InvalidOptions {
-                reason: format!("need a finite positive band with f_hi > f_lo, got {f_lo}..{f_hi}"),
-            });
-        }
-        let probes = 17;
-        let (l0, l1) = (f_lo.ln(), f_hi.ln());
+        let probe_freqs_hz = band_probes(f_lo, f_hi, 17)?;
         Ok(BtOptions {
             f_lo,
             f_hi,
@@ -157,9 +151,7 @@ impl BtOptions {
             tol: 1e-6,
             hsv_tol: 1e-8,
             max_basis: 96,
-            probe_freqs_hz: (0..probes)
-                .map(|i| (l0 + (l1 - l0) * i as f64 / (probes - 1) as f64).exp())
-                .collect(),
+            probe_freqs_hz,
             basis_tol: 1e-10,
         })
     }
@@ -235,19 +227,7 @@ impl BtOptions {
     /// [`SympvlError::InvalidOptions`] when the list is empty or any
     /// frequency is non-finite or not positive.
     pub fn with_probe_freqs(mut self, probe_freqs_hz: Vec<f64>) -> Result<Self, SympvlError> {
-        if probe_freqs_hz.is_empty() {
-            return Err(SympvlError::InvalidOptions {
-                reason: "need at least one probe frequency".into(),
-            });
-        }
-        if let Some(&bad) = probe_freqs_hz
-            .iter()
-            .find(|f| !(f.is_finite() && **f > 0.0))
-        {
-            return Err(SympvlError::InvalidOptions {
-                reason: format!("probe frequencies must be finite and positive, got {bad}"),
-            });
-        }
+        check_probe_freqs(&probe_freqs_hz)?;
         self.probe_freqs_hz = probe_freqs_hz;
         Ok(self)
     }
@@ -793,13 +773,7 @@ mod tests {
         interconnect, package, peec, rc_ladder, InterconnectParams, PackageParams, PeecParams,
     };
     use mpvl_la::Complex64;
-
-    fn log_probes(f_lo: f64, f_hi: f64, count: usize) -> Vec<f64> {
-        let (l0, l1) = (f_lo.ln(), f_hi.ln());
-        (0..count)
-            .map(|i| (l0 + (l1 - l0) * i as f64 / (count - 1) as f64).exp())
-            .collect()
-    }
+    use mpvl_sim::log_space;
 
     fn worst_band_abs_error(sys: &MnaSystem, model: &ReducedModel, freqs: &[f64]) -> f64 {
         let mut worst = 0.0f64;
@@ -830,7 +804,7 @@ mod tests {
         // axis σ = s_ref + j2πf, sampled over the band's frequencies.
         // 1.25x slack absorbs the low-rank Gramian truncation.
         let mut worst_axis = 0.0f64;
-        for &f in &log_probes(f_lo, f_hi, 33) {
+        for &f in &log_space(f_lo, f_hi, 33) {
             let s = Complex64::new(s_ref, 2.0 * std::f64::consts::PI * f);
             let zx = sys.dense_z(s).unwrap();
             let zm = out.model.eval(s).unwrap();
@@ -846,7 +820,7 @@ mod tests {
         // factor) the model is still uniformly accurate in the
         // relative sense.
         let mut worst_rel = 0.0f64;
-        for &f in &log_probes(f_lo, f_hi, 33) {
+        for &f in &log_space(f_lo, f_hi, 33) {
             let s = Complex64::new(0.0, 2.0 * std::f64::consts::PI * f);
             let zx = sys.dense_z(s).unwrap();
             let zm = out.model.eval(s).unwrap();
@@ -876,7 +850,7 @@ mod tests {
             .with_order(10)
             .unwrap();
         let out = reduce_balanced(&sys, &opts).unwrap();
-        let err = worst_band_abs_error(&sys, &out.model, &log_probes(f_lo, f_hi, 33));
+        let err = worst_band_abs_error(&sys, &out.model, &log_space(f_lo, f_hi, 33));
         assert!(
             err <= 4.0 * out.hankel_bound,
             "band error {err:.3e} vs Hankel bound {:.3e}",
@@ -923,7 +897,7 @@ mod tests {
         // mismatch, not model quality. Evaluate on a lightly damped
         // contour s = ω(0.05 + j) — a Q ≈ 10 measurement — where the
         // transfer function is smooth.
-        let probes = log_probes(f_lo, f_hi, 21);
+        let probes = log_space(f_lo, f_hi, 21);
         let mut worst = 0.0f64;
         for &f in &probes {
             let w = 2.0 * std::f64::consts::PI * f;
@@ -998,7 +972,7 @@ mod tests {
                 .unwrap(),
         )
         .unwrap();
-        let probes = log_probes(f_lo, f_hi, 33);
+        let probes = log_space(f_lo, f_hi, 33);
         let mut worst_bt = 0.0f64;
         let mut worst_pade = 0.0f64;
         for &f in &probes {

@@ -31,7 +31,7 @@
 //! any `MPVL_THREADS`, which the session engine's determinism contract
 //! requires.
 
-use crate::adaptive::difference_at;
+use crate::adaptive::{band_probes, check_probe_freqs, difference_at};
 use crate::reduce::factor_target;
 use crate::{ReducedModel, Shift, SympvlError, SympvlOptions, SympvlRun};
 use mpvl_circuit::MnaSystem;
@@ -104,22 +104,14 @@ impl MultiPointOptions {
     /// [`SympvlError::InvalidOptions`] unless `0 < f_lo < f_hi` with
     /// both endpoints finite.
     pub fn for_band(f_lo: f64, f_hi: f64) -> Result<Self, SympvlError> {
-        if !(f_lo.is_finite() && f_hi.is_finite() && f_lo > 0.0 && f_hi > f_lo) {
-            return Err(SympvlError::InvalidOptions {
-                reason: format!("need a finite positive band with f_hi > f_lo, got {f_lo}..{f_hi}"),
-            });
-        }
-        let probes = 17;
-        let (l0, l1) = (f_lo.ln(), f_hi.ln());
+        let probe_freqs_hz = band_probes(f_lo, f_hi, 17)?;
         Ok(MultiPointOptions {
             f_lo,
             f_hi,
             total_order: 16,
             placement: PointPlacement::Adaptive { max_points: 4 },
             tol: 1e-4,
-            probe_freqs_hz: (0..probes)
-                .map(|i| (l0 + (l1 - l0) * i as f64 / (probes - 1) as f64).exp())
-                .collect(),
+            probe_freqs_hz,
             basis_tol: 1e-10,
             sympvl: SympvlOptions::default(),
         })
@@ -200,19 +192,7 @@ impl MultiPointOptions {
     /// [`SympvlError::InvalidOptions`] when the list is empty or any
     /// frequency is non-finite or not positive.
     pub fn with_probe_freqs(mut self, probe_freqs_hz: Vec<f64>) -> Result<Self, SympvlError> {
-        if probe_freqs_hz.is_empty() {
-            return Err(SympvlError::InvalidOptions {
-                reason: "need at least one probe frequency".into(),
-            });
-        }
-        if let Some(&bad) = probe_freqs_hz
-            .iter()
-            .find(|f| !(f.is_finite() && **f > 0.0))
-        {
-            return Err(SympvlError::InvalidOptions {
-                reason: format!("probe frequencies must be finite and positive, got {bad}"),
-            });
-        }
+        check_probe_freqs(&probe_freqs_hz)?;
         self.probe_freqs_hz = probe_freqs_hz;
         Ok(self)
     }
@@ -557,6 +537,7 @@ mod tests {
     use crate::{certify, reduce_adaptive, sympvl, AdaptiveOptions, Certificate};
     use mpvl_circuit::generators::{interconnect, rc_ladder, InterconnectParams};
     use mpvl_la::Complex64;
+    use mpvl_sim::log_space;
 
     fn worst_band_error(sys: &MnaSystem, model: &ReducedModel, freqs: &[f64]) -> f64 {
         let mut worst = 0.0f64;
@@ -670,12 +651,7 @@ mod tests {
         // over the band beats escalating a single expansion point.
         let sys = MnaSystem::assemble(&rc_ladder(120, 60.0, 1e-12)).unwrap();
         let (f_lo, f_hi): (f64, f64) = (1e7, 1e10);
-        let band: Vec<f64> = {
-            let (l0, l1) = (f_lo.ln(), f_hi.ln());
-            (0..25)
-                .map(|i| (l0 + (l1 - l0) * i as f64 / 24.0).exp())
-                .collect()
-        };
+        let band = log_space(f_lo, f_hi, 25);
         let total = 8;
         let single = sympvl(&sys, total, &SympvlOptions::default()).unwrap();
         let multi = reduce_multipoint(
@@ -731,12 +707,7 @@ mod tests {
         // the plain 2-point split at the same budget.
         let sys = MnaSystem::assemble(&rc_ladder(120, 60.0, 1e-12)).unwrap();
         let (f_lo, f_hi): (f64, f64) = (1e6, 1e10);
-        let band: Vec<f64> = {
-            let (l0, l1) = (f_lo.ln(), f_hi.ln());
-            (0..25)
-                .map(|i| (l0 + (l1 - l0) * i as f64 / 24.0).exp())
-                .collect()
-        };
+        let band = log_space(f_lo, f_hi, 25);
         let total = 12;
         let two = reduce_multipoint(
             &sys,

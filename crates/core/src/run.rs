@@ -11,7 +11,7 @@
 
 use crate::lanczos::BlockLanczos;
 use crate::reduce::{assemble_model, factor_target, factor_with_options_via, FactorTarget};
-use crate::{GFactor, KrylovOperator, ReducedModel, SympvlError, SympvlOptions};
+use crate::{GFactor, KrylovOperator, LanczosOutcome, ReducedModel, SympvlError, SympvlOptions};
 use mpvl_circuit::MnaSystem;
 use mpvl_la::Mat;
 use std::sync::Arc;
@@ -105,6 +105,46 @@ impl SympvlRun {
     /// [`SympvlError::BadOrder`] for `order == 0` or when no vector
     /// survives (empty usable Krylov space).
     pub fn model_at(&mut self, sys: &MnaSystem, order: usize) -> Result<ReducedModel, SympvlError> {
+        self.run_to(sys, order, |run, out| {
+            assemble_model(sys, &run.factor, run.shift, out, order)
+        })
+    }
+
+    /// Like [`SympvlRun::model_at`], but also returns the Krylov basis
+    /// mapped back to circuit coordinates: `X = M⁻ᵀV`, whose columns
+    /// span `{K⁻¹B, (K⁻¹C)K⁻¹B, …}` with `K = G + s₀C`. Multi-point
+    /// reduction stacks these per-expansion-point bases and projects
+    /// the full system onto their union (congruence projection), so
+    /// the merged model interpolates at every expansion point.
+    ///
+    /// The model is bit-identical to [`SympvlRun::model_at`] at the
+    /// same order (both run one resume/fresh-pass routine on the
+    /// retained state).
+    ///
+    /// # Errors
+    ///
+    /// As [`SympvlRun::model_at`].
+    pub fn model_and_basis_at(
+        &mut self,
+        sys: &MnaSystem,
+        order: usize,
+    ) -> Result<(ReducedModel, Mat<f64>), SympvlError> {
+        self.run_to(sys, order, |run, out| {
+            let basis = run.factor.apply_minv_t_mat(&out.v);
+            let model = assemble_model(sys, &run.factor, run.shift, out, order)?;
+            Ok((model, basis))
+        })
+    }
+
+    /// Runs the Lanczos process to `order` — a fresh pass below the
+    /// retained state, a resume at or above it — and hands the outcome
+    /// to `finish`, all inside one `block_lanczos` span.
+    fn run_to<T>(
+        &mut self,
+        sys: &MnaSystem,
+        order: usize,
+        finish: impl FnOnce(&Self, LanczosOutcome) -> Result<T, SympvlError>,
+    ) -> Result<T, SympvlError> {
         if order == 0 {
             return Err(SympvlError::BadOrder { order });
         }
@@ -126,48 +166,7 @@ impl SympvlRun {
             self.state.run(&op, order);
             self.state.outcome()
         };
-        assemble_model(sys, &self.factor, self.shift, out, order)
-    }
-
-    /// Like [`SympvlRun::model_at`], but also returns the Krylov basis
-    /// mapped back to circuit coordinates: `X = M⁻ᵀV`, whose columns
-    /// span `{K⁻¹B, (K⁻¹C)K⁻¹B, …}` with `K = G + s₀C`. Multi-point
-    /// reduction stacks these per-expansion-point bases and projects
-    /// the full system onto their union (congruence projection), so
-    /// the merged model interpolates at every expansion point.
-    ///
-    /// The model is bit-identical to [`SympvlRun::model_at`] at the
-    /// same order (identical resume/fresh-pass policy on the retained
-    /// state).
-    ///
-    /// # Errors
-    ///
-    /// As [`SympvlRun::model_at`].
-    pub fn model_and_basis_at(
-        &mut self,
-        sys: &MnaSystem,
-        order: usize,
-    ) -> Result<(ReducedModel, Mat<f64>), SympvlError> {
-        if order == 0 {
-            return Err(SympvlError::BadOrder { order });
-        }
-        debug_assert_eq!(sys.dim(), self.factor.dim(), "wrong system for this run");
-        let op = KrylovOperator::new(&self.factor, &sys.c);
-        let _span = mpvl_obs::span("lanczos", "block_lanczos");
-        let out = if order < self.state.accepted() {
-            let mut fresh = BlockLanczos::new(&self.j_diag, &self.start, &self.opts.lanczos);
-            fresh.run(&op, order);
-            fresh.outcome()
-        } else {
-            if self.state.accepted() > 0 && order > self.state.accepted() {
-                mpvl_obs::counter_add("sympvl_run", "lanczos_resumes", 1);
-            }
-            self.state.run(&op, order);
-            self.state.outcome()
-        };
-        let basis = self.factor.apply_minv_t_mat(&out.v);
-        let model = assemble_model(sys, &self.factor, self.shift, out, order)?;
-        Ok((model, basis))
+        finish(self, out)
     }
 }
 

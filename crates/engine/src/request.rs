@@ -237,14 +237,10 @@ impl CrossValidateOptions {
                 reason: format!("need a finite positive band with f_hi > f_lo, got {f_lo}..{f_hi}"),
             });
         }
-        let probes = 17;
-        let (l0, l1) = (f_lo.ln(), f_hi.ln());
         Ok(CrossValidateOptions {
             f_lo,
             f_hi,
-            probe_freqs_hz: (0..probes)
-                .map(|i| (l0 + (l1 - l0) * i as f64 / (probes - 1) as f64).exp())
-                .collect(),
+            probe_freqs_hz: mpvl_sim::log_space(f_lo, f_hi, 17),
         })
     }
 

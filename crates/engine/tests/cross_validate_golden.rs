@@ -16,6 +16,7 @@ use mpvl_circuit::MnaSystem;
 use mpvl_engine::{BackendKind, CrossValidateOptions, ReduceSpec, ReductionSession, Want};
 use mpvl_la::Complex64;
 use mpvl_par::with_threads;
+use mpvl_sim::log_space;
 use sympvl::{write_model, BtOptions, Certificate};
 
 const F_LO: f64 = 1e6;
@@ -24,13 +25,6 @@ const ORDER: usize = 6;
 
 fn ladder_sys() -> MnaSystem {
     MnaSystem::assemble(&rc_ladder(60, 50.0, 1e-12)).unwrap()
-}
-
-fn log_band(n: usize) -> Vec<f64> {
-    let (l0, l1) = (F_LO.ln(), F_HI.ln());
-    (0..n)
-        .map(|i| (l0 + (l1 - l0) * i as f64 / (n - 1) as f64).exp())
-        .collect()
 }
 
 fn specs() -> (ReduceSpec, ReduceSpec) {
@@ -68,7 +62,7 @@ fn pade_and_bt_agree_within_the_hankel_bound_on_the_shifted_axis() {
     let sigma = bt.model.shift();
     let mut worst_pair = 0.0f64;
     let mut worst_pade = 0.0f64;
-    for &f in &log_band(25) {
+    for &f in &log_space(F_LO, F_HI, 25) {
         let s = Complex64::new(sigma, 2.0 * std::f64::consts::PI * f);
         let zx = sys.dense_z(s).unwrap();
         let zb = bt.model.eval(s).unwrap();

@@ -12,6 +12,7 @@ use mpvl_circuit::MnaSystem;
 use mpvl_engine::{EvalRequest, ReduceSpec, ReductionSession, Want};
 use mpvl_la::Complex64;
 use mpvl_par::with_threads;
+use mpvl_sim::log_space;
 use sympvl::{
     expansion_shift, reduce_multipoint, sampled_passivity, sympvl, Certificate, MultiPointOptions,
     ReducedModel, Shift, SympvlOptions,
@@ -31,13 +32,6 @@ fn small_package_sys() -> MnaSystem {
         ..PackageParams::default()
     }))
     .unwrap()
-}
-
-fn log_band(f_lo: f64, f_hi: f64, n: usize) -> Vec<f64> {
-    let (l0, l1) = (f_lo.ln(), f_hi.ln());
-    (0..n)
-        .map(|i| (l0 + (l1 - l0) * i as f64 / (n - 1) as f64).exp())
-        .collect()
 }
 
 fn worst_band_error(sys: &MnaSystem, model: &ReducedModel, freqs: &[f64]) -> f64 {
@@ -149,7 +143,7 @@ fn merged_model_eval_is_thread_invariant() {
             MultiPointOptions::for_band(1e7, 1e10).unwrap(),
         ))
         .unwrap();
-    let request = EvalRequest::new(out.model_id, log_band(1e7, 1e10, 33)).unwrap();
+    let request = EvalRequest::new(out.model_id, log_space(1e7, 1e10, 33)).unwrap();
     let mut per_thread = Vec::new();
     for threads in [1usize, 2, 4] {
         let sweep = with_threads(threads, || session.eval(&request)).unwrap();
@@ -194,7 +188,7 @@ fn golden_package_two_point_beats_single_point_at_equal_total_order() {
     // endpoints beats a single mid-band expansion point.
     let sys = small_package_sys();
     let (f_lo, f_hi): (f64, f64) = (1e7, 1e10);
-    let band = log_band(f_lo, f_hi, 25);
+    let band = log_space(f_lo, f_hi, 25);
     let total = 16;
     let multi = reduce_multipoint(
         &sys,

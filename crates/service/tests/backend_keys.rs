@@ -224,3 +224,51 @@ fn registry_keys_are_pinned() {
         "99da47f7ed88b0a1e3c2d3b937438e10fdcc6272e4b1d3032b1e511f3112cd1b"
     );
 }
+
+/// The default probe grids of the four `for_band` builders on one band,
+/// pinned bit for bit: they feed the registry keys above through the
+/// canonical reduction text. The 17-probe grids of multi-point,
+/// balanced truncation and cross-validation are the same grid.
+#[test]
+fn default_probe_grids_are_pinned() {
+    use sympvl::AdaptiveOptions;
+    const NINE: [u64; 9] = [
+        0x412e847ffffffffc,
+        0x41421796da531eff,
+        0x4155739d501f2fce,
+        0x41696f55ca4ad1c7,
+        0x417e286789a07f2a,
+        0x4191e0fdb3bba4b8,
+        0x41a532e0ca01fe27,
+        0x41b92293f76db78c,
+        0x41cdcd64fffffffa,
+    ];
+    const SEVENTEEN: [u64; 17] = [
+        0x412e847ffffffffc,
+        0x41377f5686abd5b7,
+        0x41421796da531eff,
+        0x414bdc4ea2e2dd7b,
+        0x4155739d501f2fce,
+        0x416084576779a811,
+        0x41696f55ca4ad1c7,
+        0x4173957d243baf4f,
+        0x417e286789a07f2a,
+        0x4187386d8421f7f1,
+        0x4191e0fdb3bba4b8,
+        0x419b883ad9e0335e,
+        0x41a532e0ca01fe27,
+        0x41b0527f2b6d2ae0,
+        0x41b92293f76db78c,
+        0x41c35a637fc9c151,
+        0x41cdcd64fffffffa,
+    ];
+    let bits = |freqs: Vec<f64>| freqs.iter().map(|f| f.to_bits()).collect::<Vec<_>>();
+    let adaptive = AdaptiveOptions::for_band(F_LO, F_HI).unwrap();
+    assert_eq!(bits(adaptive.probe_freqs_hz), NINE);
+    let multi = MultiPointOptions::for_band(F_LO, F_HI).unwrap();
+    assert_eq!(bits(multi.probe_freqs_hz), SEVENTEEN, "multi-point");
+    let bt = BtOptions::for_band(F_LO, F_HI).unwrap();
+    assert_eq!(bits(bt.probe_freqs_hz), SEVENTEEN, "balanced");
+    let cv = CrossValidateOptions::for_band(F_LO, F_HI).unwrap();
+    assert_eq!(bits(cv.probe_freqs_hz), SEVENTEEN, "cross-validation");
+}
