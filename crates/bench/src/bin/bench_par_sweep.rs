@@ -11,8 +11,9 @@
 //!
 //! Then checks Gate 2, thread scaling of the large AC sweep: the
 //! threads=4 median of `ac_sweep_large8` must be strictly below the
-//! threads=1 median. On a machine without real parallelism
-//! (available_parallelism < 2) that is physically impossible, so the
+//! threads=1 median (the thread counts are timed interleaved). On a
+//! machine without real parallelism (available_parallelism < 2) that
+//! is physically impossible, so the
 //! strict check is skipped loudly and replaced by a
 //! no-catastrophic-regression bound (threads=4 within 1.25× of
 //! threads=1: the chunked scheduler must not melt down when
@@ -65,12 +66,17 @@ fn main() {
     });
     let sys = MnaSystem::assemble(&ckt).expect("assemble");
     let sweeper = AcSweeper::new(&sys);
+    // Timed interleaved, one sweep per thread count per round, so a burst
+    // of machine load hits the gated threads=1/threads=4 medians alike.
     let freqs = log_space(1e7, 2e10, 8);
-    for threads in [1usize, 2, 4] {
-        bench.bench(&format!("ac_sweep_large8/threads={threads}"), || {
-            with_threads(threads, || sweeper.sweep(&freqs)).expect("sweep");
-        });
-    }
+    let sweep = |threads: usize| {
+        with_threads(threads, || sweeper.sweep(&freqs)).expect("sweep");
+    };
+    bench.bench_interleaved(&mut [
+        ("ac_sweep_large8/threads=1", &mut || sweep(1)),
+        ("ac_sweep_large8/threads=2", &mut || sweep(2)),
+        ("ac_sweep_large8/threads=4", &mut || sweep(4)),
+    ]);
     if let (Some(t1), Some(t4)) = (
         bench.median_of("ac_sweep_large8/threads=1"),
         bench.median_of("ac_sweep_large8/threads=4"),

@@ -347,7 +347,8 @@ impl Basis {
 
     /// One classical Gram–Schmidt step of `cands` against the closed
     /// clusters `clusters`: `C = Δ⁻¹·Vᵀ(J∘W)` with one `Δ⁻¹` solve per
-    /// cluster, then `W −= V·C`, recording `C` into `t_coef`/`rho`.
+    /// cluster, recording `C` into `t_coef`/`rho`, then `W −= V·C` unless
+    /// `update` is false (the caller will not read `W` again).
     fn project_closed(
         &self,
         clusters: Range<usize>,
@@ -355,6 +356,7 @@ impl Basis {
         ws: &mut Workspace,
         t_coef: &mut Mat<f64>,
         rho: &mut Mat<f64>,
+        update: bool,
     ) {
         if clusters.is_empty() || cands.is_empty() {
             return;
@@ -385,7 +387,9 @@ impl Basis {
                 record(t_coef, rho, lo + i, cand.src, x);
             }
         }
-        block_sub(v, &ws.coef, cands);
+        if update {
+            block_sub(v, &ws.coef, cands);
+        }
     }
 
     /// The per-candidate leaf, twice: cluster by cluster against the
@@ -416,7 +420,7 @@ impl Basis {
         };
         for _pass in 0..2 {
             for c in from..self.closed.len() {
-                self.project_closed(c..c + 1, &mut [&mut *cand], ws, t_coef, rho);
+                self.project_closed(c..c + 1, &mut [&mut *cand], ws, t_coef, rho, true);
             }
             for &i in &self.open {
                 let v = std::slice::from_ref(&self.vectors[i]);
@@ -453,18 +457,25 @@ impl Pending {
     /// starts when `block_left` is 0 (the whole queue is then
     /// unprojected), a sub-block when `sub_left` is 0, and the leaf
     /// finishes the candidate. `None` when the queue is empty.
-    fn next(&mut self, basis: &Basis, ws: &mut Workspace) -> Option<Candidate> {
+    ///
+    /// `flush` says the caller keeps only the recorded coefficients and
+    /// drops the returned candidate. The basis is then frozen, so the
+    /// leaf projects only against the open cluster, and when that is
+    /// empty nothing reads a candidate's `W` after the last update of
+    /// [`Pending::project_front`], which is skipped.
+    fn next(&mut self, basis: &Basis, ws: &mut Workspace, flush: bool) -> Option<Candidate> {
         if self.queue.is_empty() {
             return None;
         }
         let _span = mpvl_obs::span("lanczos", "orthogonalize");
+        let last_update = !(flush && basis.open.is_empty());
         if self.sub_left == 0 {
             if self.block_left == 0 {
                 self.block_left = self.queue.len();
-                self.project_front(self.block_left, basis, ws);
+                self.project_front(self.block_left, basis, ws, last_update);
             }
             self.sub_left = SUB_BLOCK.min(self.block_left);
-            self.project_front(self.sub_left, basis, ws);
+            self.project_front(self.sub_left, basis, ws, last_update);
         }
         let mut cand = self.queue.pop_front().expect("queue is nonempty");
         self.block_left -= 1;
@@ -475,21 +486,23 @@ impl Pending {
 
     /// BCGS2 on the first `m` queued candidates: two projections against
     /// the closed clusters they have not seen yet (all `m` share that
-    /// range). A no-op in banded mode.
-    fn project_front(&mut self, m: usize, basis: &Basis, ws: &mut Workspace) {
+    /// range), the second without its `W −= V·C` unless `last_update`. A
+    /// no-op in banded mode.
+    fn project_front(&mut self, m: usize, basis: &Basis, ws: &mut Workspace, last_update: bool) {
         if !basis.opts.full_reorth {
             return;
         }
         let clusters = self.queue[0].projected..basis.closed.len();
         let mut cands: Vec<&mut Candidate> = self.queue.range_mut(..m).collect();
         debug_assert!(cands.iter().all(|c| c.projected == clusters.start));
-        for _pass in 0..2 {
+        for pass in 0..2 {
             basis.project_closed(
                 clusters.clone(),
                 &mut cands,
                 ws,
                 &mut self.t_coef,
                 &mut self.rho,
+                pass == 0 || last_update,
             );
         }
         for cand in cands {
@@ -651,7 +664,7 @@ impl BlockLanczos {
                     &mut self.ws,
                 );
             }
-            let Some(cand) = self.pending.next(&self.basis, &mut self.ws) else {
+            let Some(cand) = self.pending.next(&self.basis, &mut self.ws, false) else {
                 self.exhausted = true;
                 break;
             };
@@ -799,7 +812,7 @@ impl BlockLanczos {
 
         // --- Flush: only the coefficients matter; each remainder is the
         // Lanczos truncation residual and is dropped.
-        while pending.next(basis, &mut ws).is_some() {
+        while pending.next(basis, &mut ws, true).is_some() {
             iter_count += 1;
         }
 

@@ -15,6 +15,10 @@
 //! * [`sym_eigen`] / [`general_eigenvalues`] / [`general_eigen`] —
 //!   eigensolvers for the stability/passivity certificates, pole
 //!   computation, and pole–residue evaluation-plan compilation.
+//! * [`block_dot`] / [`block_sub`] — the block Gram–Schmidt kernels, and
+//!   [`simd_dispatch!`], which runs them (and the sparse crate's
+//!   row-interleaved solves) as AVX-512, AVX2 or baseline builds with
+//!   the same bits.
 //!
 //! Everything is implemented from scratch (no external numeric crates), as
 //! documented in `DESIGN.md`.
@@ -48,6 +52,7 @@ mod lu;
 mod mat;
 mod qr;
 mod scalar;
+mod simd;
 mod vecops;
 
 pub use blockops::{block_dot, block_sub, PANEL_ROWS};

@@ -234,18 +234,37 @@ fn columns(seed: u64, n: usize, cols: usize) -> Vec<Vec<f64>> {
 /// Both block kernels on `n` rows: each column's bits are independent
 /// of the batch width and position, `block_sub` has the bits of
 /// successive `axpy` calls, and `block_dot` agrees with `dot`.
+/// `v · w` in `block_dot`'s documented order, one product at a time:
+/// per panel of `PANEL_ROWS` rows, even rows into `s₀` and odd rows into
+/// `s₁`, then the panel values `s₀ + s₁` summed in order from `0.0`.
+fn block_dot_reference(v: &[f64], w: &[f64]) -> f64 {
+    let p = mpvl_la::PANEL_ROWS;
+    let mut c = 0.0;
+    for (vp, wp) in v.chunks(p).zip(w.chunks(p)) {
+        let mut s = [0.0f64; 2];
+        for (r, (&x, &y)) in vp.iter().zip(wp).enumerate() {
+            s[r % 2] += x * y;
+        }
+        c += s[0] + s[1];
+    }
+    c
+}
+
 fn check_block_kernels(n: usize, seed: u64) -> Result<(), String> {
     let (k, m) = (9, 17);
     let v = columns(seed, n, k);
     let w = columns(seed ^ 0x5eed, n, m);
     let mut c = vec![0.0; k * m];
     mpvl_la::block_dot(&v, &w, &mut c);
-    // Every entry is close to the naive dot product.
+    // Every entry has the bits of its documented order and is close to
+    // the naive dot product.
     for j in 0..m {
         for i in 0..k {
+            let entry = c[i + j * k];
+            prop_assert_eq!(entry.to_bits(), block_dot_reference(&v[i], &w[j]).to_bits());
             let naive = mpvl_la::dot(&v[i], &w[j]);
             let scale = mpvl_la::norm2(&v[i]) * mpvl_la::norm2(&w[j]);
-            prop_assert!((c[i + j * k] - naive).abs() <= 1e-13 * scale);
+            prop_assert!((entry - naive).abs() <= 1e-13 * scale);
         }
     }
     // Any split of V and W into batches (widths 1..=17, so each

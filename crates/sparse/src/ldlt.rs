@@ -140,6 +140,7 @@ fn lt_solve_csc<T: Scalar>(colptr: &[usize], rowidx: &[usize], values: &[T], x: 
 /// over `L` serves every column. Each column sees exactly the
 /// operations of [`l_solve_csc`]; its `xⱼ == 0` skip becomes a select,
 /// because subtracting `v · 0` would turn a `-0.0` entry into `+0.0`.
+#[inline(always)]
 fn l_solve_rows_csc<T: Scalar, const W: usize>(
     colptr: &[usize],
     rowidx: &[usize],
@@ -167,6 +168,7 @@ fn l_solve_rows_csc<T: Scalar, const W: usize>(
 /// Row-interleaved multi-RHS back substitution `Lᵀ X = B`, the layout of
 /// [`l_solve_rows_csc`]; each column sees exactly the operations of
 /// [`lt_solve_csc`].
+#[inline(always)]
 fn lt_solve_rows_csc<T: Scalar, const W: usize>(
     colptr: &[usize],
     rowidx: &[usize],
@@ -205,6 +207,52 @@ macro_rules! dispatch_width {
     };
 }
 
+mpvl_la::simd_dispatch! {
+    /// [`l_solve_rows_csc`] at the runtime width `w`, on the widest
+    /// vector build the CPU runs (lanes across the `w` columns).
+    fn l_solve_rows_simd<T: Scalar>(
+        colptr: &[usize],
+        rowidx: &[usize],
+        values: &[T],
+        x: &mut [T],
+        w: usize,
+    ) => l_solve_rows_body
+}
+
+#[inline(always)]
+fn l_solve_rows_body<T: Scalar, const VEC: usize>(
+    colptr: &[usize],
+    rowidx: &[usize],
+    values: &[T],
+    x: &mut [T],
+    w: usize,
+) {
+    dispatch_width!(l_solve_rows_csc, w, colptr, rowidx, values, x);
+}
+
+mpvl_la::simd_dispatch! {
+    /// [`lt_solve_rows_csc`] at the runtime width `w`, built like
+    /// [`l_solve_rows_simd`].
+    fn lt_solve_rows_simd<T: Scalar>(
+        colptr: &[usize],
+        rowidx: &[usize],
+        values: &[T],
+        x: &mut [T],
+        w: usize,
+    ) => lt_solve_rows_body
+}
+
+#[inline(always)]
+fn lt_solve_rows_body<T: Scalar, const VEC: usize>(
+    colptr: &[usize],
+    rowidx: &[usize],
+    values: &[T],
+    x: &mut [T],
+    w: usize,
+) {
+    dispatch_width!(lt_solve_rows_csc, w, colptr, rowidx, values, x);
+}
+
 /// Widest block [`NumericLdlt::l_solve_rows`] and
 /// [`NumericLdlt::lt_solve_rows`] accept, and the column chunk the
 /// blocked `M⁻¹`/`M⁻ᵀ` appliers and the Lanczos successor generation
@@ -217,6 +265,14 @@ macro_rules! dispatch_width {
 /// same factor a runtime-width kernel took 1.1–1.4× as long at width 8
 /// and 1.6–2.4× at widths 3 and 1, and padding a lone column to width 8
 /// would cost 1.8× the width-1 solve.
+///
+/// Every width is also built for AVX-512 and AVX2
+/// ([`mpvl_la::simd_dispatch!`]), with vector lanes across the `w`
+/// columns of a row, so at width 8 one AVX-512 register holds a row.
+/// Each column keeps its operations and their order (ascending columns
+/// forward, stored row order back, the `xⱼ == 0` select), so every
+/// build gives the bits of [`NumericLdlt::l_solve`] and
+/// [`NumericLdlt::lt_solve`].
 pub const ROW_SOLVE_WIDTH: usize = 8;
 
 /// Relative pivot breakdown floor: a refactor of `A` fails once a pivot
@@ -1343,7 +1399,7 @@ impl<T: Scalar> NumericLdlt<T> {
     pub fn l_solve_rows(&self, x: &mut [T], w: usize) {
         assert_eq!(x.len(), self.sym.n * w, "dimension mismatch");
         let (colptr, rowidx, values) = (&self.sym.l_colptr, &self.sym.l_rowidx, &self.l_values);
-        dispatch_width!(l_solve_rows_csc, w, colptr, rowidx, values, x);
+        l_solve_rows_simd(colptr, rowidx, values, x, w);
     }
 
     /// [`NumericLdlt::lt_solve`] on `w` row-interleaved right-hand sides,
@@ -1357,7 +1413,7 @@ impl<T: Scalar> NumericLdlt<T> {
     pub fn lt_solve_rows(&self, x: &mut [T], w: usize) {
         assert_eq!(x.len(), self.sym.n * w, "dimension mismatch");
         let (colptr, rowidx, values) = (&self.sym.l_colptr, &self.sym.l_rowidx, &self.l_values);
-        dispatch_width!(lt_solve_rows_csc, w, colptr, rowidx, values, x);
+        lt_solve_rows_simd(colptr, rowidx, values, x, w);
     }
 }
 
@@ -1761,5 +1817,59 @@ mod tests {
         let md = NumericLdlt::factor(&a, Ordering::MinDegree).unwrap();
         assert_eq!(md.l_nnz(), n - 1);
         assert!(nat.l_nnz() > md.l_nnz());
+    }
+
+    #[test]
+    fn row_interleaved_solves_match_column_solves_bit_for_bit() {
+        // A 9 × 9 grid Laplacian: after min-degree, L has real fill (and
+        // negative off-diagonals). Column 0 of each block is nonzero
+        // everywhere, so no row of the block is all zeros; the others are
+        // signed zeros with one nonzero each, so the forward solve meets
+        // `xⱼ == +0.0` against `-0.0` entries, where subtracting `v · xⱼ`
+        // instead of skipping would give `+0.0`.
+        let side = 9;
+        let n = side * side;
+        let mut t = TripletMat::new(n, n);
+        for i in 0..n {
+            t.push(i, i, 4.0 + 0.01 * i as f64);
+            if i % side + 1 < side {
+                t.push_sym(i, i + 1, -1.0);
+            }
+            if i + side < n {
+                t.push_sym(i, i + side, -1.0);
+            }
+        }
+        let f = NumericLdlt::factor(&t.to_csc(), Ordering::MinDegree).expect("SPD");
+        assert!(f.l_nnz() > 2 * n, "the grid factor should fill in");
+        let entry = |i: usize, c: usize| match (c, i % 2) {
+            (0, _) => 2.0 + (i as f64 * 0.37).sin(),
+            _ if i == 3 * c => 2.0 + ((i + c) as f64 * 0.37).cos(),
+            (_, 0) => -0.0,
+            _ => 0.0,
+        };
+        for w in 1..=ROW_SOLVE_WIDTH {
+            let mut rows: Vec<f64> = (0..n * w).map(|e| entry(e / w, e % w)).collect();
+            let mut back = rows.clone();
+            f.l_solve_rows(&mut rows, w);
+            f.lt_solve_rows(&mut back, w);
+            for c in 0..w {
+                let mut col: Vec<f64> = (0..n).map(|i| entry(i, c)).collect();
+                let mut col_back = col.clone();
+                f.l_solve(&mut col);
+                f.lt_solve(&mut col_back);
+                for i in 0..n {
+                    assert_eq!(
+                        rows[i * w + c].to_bits(),
+                        col[i].to_bits(),
+                        "L, w={w} ({i}, {c})"
+                    );
+                    assert_eq!(
+                        back[i * w + c].to_bits(),
+                        col_back[i].to_bits(),
+                        "Lᵀ, w={w} ({i}, {c})"
+                    );
+                }
+            }
+        }
     }
 }

@@ -17,7 +17,8 @@ cd "$(dirname "$0")/.."
 # reduced samples (a gated bin fails here on its own gate, or on a
 # missing gate input), then checks that target/bench/BENCH_<suite>.json
 # (suite = bin minus its bench_ prefix) names its suite and holds every
-# given result. Env assignments in front of the call reach the bin;
+# given result (the whole name: a longer name that starts with it does
+# not count). Env assignments in front of the call reach the bin;
 # MPVL_BENCH_SAMPLES=<n> in front sets that bin's sample count
 # (default 3).
 smoke_bench() {
@@ -34,7 +35,7 @@ smoke_bench() {
         exit 1
     }
     for name in "$@"; do
-        grep -q "\"$name" "$json" || {
+        grep -qF "\"$name\"" "$json" || {
             echo "$json missing result \"$name\"" >&2
             exit 1
         }
@@ -98,7 +99,7 @@ echo "==> golden bit-identity across thread counts (MPVL_THREADS=2,4)"
 MPVL_THREADS=2 cargo test -q --offline -p sympvl --test golden_bitident
 MPVL_THREADS=4 cargo test -q --offline -p sympvl --test golden_bitident
 
-smoke_bench bench_lanczos sympvl_order/8 sympvl_order/64 sympvl_size sympvl_reorth/full \
+smoke_bench bench_lanczos sympvl_order/8 sympvl_order/64 sympvl_size/1360 sympvl_reorth/full \
     sympvl_reorth/banded krylov_apply/columns64 krylov_apply/block64 reorth/grid201_p64
 
 echo "==> session determinism across threads (MPVL_THREADS=2)"
