@@ -11,6 +11,11 @@
 //!   re-derives the byproducts (poles, certificate, sweep).
 //! * `service_batch/mixed` — a warm batch across three circuits, the
 //!   steady-state shape of a server juggling several netlists.
+//! * `service_ingest/ladder` — the miss path's front door on a
+//!   10⁴-element ladder: `ServiceRequest::from_spec` (parse, canonical
+//!   text, hash) plus the session a miss builds from its canonical
+//!   circuit. `service_ingest/ladder_mb_per_s` is the netlist's size
+//!   over that median. Not gated.
 //!
 //! The derived `registry/warm_hit_ratio` value (hits / lookups on the
 //! warm service) feeds Gate 4: a warm service replaying known work must
@@ -22,7 +27,8 @@
 //! writes `target/bench/BENCH_service.json`, then checks the gate.
 
 use mpvl_bench::Gates;
-use mpvl_engine::ReduceSpec;
+use mpvl_circuit::MnaSystem;
+use mpvl_engine::{ReduceSpec, ReductionSession};
 use mpvl_service::{ReductionService, ServiceOptions, ServiceRequest};
 use mpvl_sim::log_space;
 use mpvl_testkit::bench::Bench;
@@ -87,6 +93,21 @@ fn main() {
             result.expect("batch member succeeds");
         }
     });
+
+    // Ingest: parse, canonicalize and hash, then assemble a session.
+    let big_netlist = ladder(5000, 100.0, 1e-12);
+    let spec = ReduceSpec::pade_fixed(8).expect("order");
+    bench.bench("service_ingest/ladder", || {
+        let request = ServiceRequest::from_spec(&big_netlist, spec.clone()).expect("valid netlist");
+        let sys = MnaSystem::assemble(request.circuit()).expect("assembles");
+        std::hint::black_box(ReductionSession::new(sys));
+    });
+    if let Some(median) = bench.median_of("service_ingest/ladder") {
+        bench.push_value(
+            "service_ingest/ladder_mb_per_s",
+            big_netlist.len() as f64 / 1e6 / median,
+        );
+    }
 
     // The gate input: after replaying known work, the warm service
     // should be overwhelmingly registry-bound.

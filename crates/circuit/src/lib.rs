@@ -25,4 +25,7 @@ pub mod generators;
 
 pub use mna::{MnaError, MnaSystem};
 pub use netlist::{Circuit, CircuitClass, CircuitError, Element, Node, Port, GROUND};
-pub use parser::{parse_spice, parse_value, to_spice, to_spice_subckt, ParseError};
+pub use parser::{
+    canonical_circuit, parse_spice, parse_spice_circuit, parse_value, to_spice, to_spice_subckt,
+    ParseError,
+};

@@ -217,9 +217,9 @@ impl Error for CircuitError {}
 #[derive(Debug, Clone, Default)]
 pub struct Circuit {
     /// Total node count including ground (node indices are `0..num_nodes`).
-    num_nodes: usize,
-    elements: Vec<Element>,
-    ports: Vec<Port>,
+    pub(crate) num_nodes: usize,
+    pub(crate) elements: Vec<Element>,
+    pub(crate) ports: Vec<Port>,
 }
 
 impl Circuit {

@@ -25,6 +25,7 @@ use crate::{Circuit, Element};
 use std::collections::HashMap;
 use std::error::Error;
 use std::fmt::{self, Write};
+use std::hash::{Hash, Hasher};
 
 /// Error from [`parse_spice`].
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -45,7 +46,8 @@ impl Error for ParseError {}
 
 /// Parses a netlist in the dialect described in the module-level docs.
 ///
-/// Returns the circuit and the node-name table (`name → index`).
+/// Returns the circuit and the node-name table (`name → index`, names
+/// lowercased).
 ///
 /// # Errors
 ///
@@ -69,87 +71,171 @@ impl Error for ParseError {}
 /// # }
 /// ```
 pub fn parse_spice(text: &str) -> Result<(Circuit, HashMap<String, usize>), ParseError> {
-    let mut ckt = Circuit::new();
-    let mut names: HashMap<String, usize> = HashMap::new();
-    let mut node = |ckt: &mut Circuit, token: &str| -> usize {
-        let t = token.to_ascii_lowercase();
-        if t == "0" || t == "gnd" {
+    let mut nodes = NodeTable::for_text(text);
+    let ckt = parse_with(text, &mut nodes)?;
+    let names = nodes
+        .0
+        .into_iter()
+        .map(|(name, n)| (name.0.to_ascii_lowercase(), n))
+        .collect();
+    Ok((ckt, names))
+}
+
+/// [`parse_spice`]'s circuit, without building the node-name table.
+///
+/// # Errors
+///
+/// Exactly those of [`parse_spice`].
+pub fn parse_spice_circuit(text: &str) -> Result<Circuit, ParseError> {
+    parse_with(text, &mut NodeTable::for_text(text))
+}
+
+/// Node names seen so far, borrowed from the text, compared and hashed
+/// ignoring ASCII case. The names come from outside the program, so the
+/// table keeps the standard keyed hasher.
+struct NodeTable<'a>(HashMap<Caseless<'a>, usize>);
+
+impl<'a> NodeTable<'a> {
+    /// A table sized for a netlist of `text`'s length, at about one
+    /// new node per 64 bytes, so it rarely grows.
+    fn for_text(text: &str) -> Self {
+        NodeTable(HashMap::with_capacity(text.len() / 64))
+    }
+
+    /// The index of node `token`: ground for `0`/`gnd`, else the index
+    /// the name got when first seen (a fresh node then).
+    fn node(&mut self, ckt: &mut Circuit, token: &'a str) -> usize {
+        if token == "0" || token.eq_ignore_ascii_case("gnd") {
             return 0;
         }
-        if let Some(&n) = names.get(&t) {
-            return n;
-        }
-        let n = ckt.add_node();
-        names.insert(t, n);
-        n
-    };
+        *self
+            .0
+            .entry(Caseless(token))
+            .or_insert_with(|| ckt.add_node())
+    }
+}
 
+/// A name that equals any other spelling of it in ASCII case.
+#[derive(Clone, Copy)]
+struct Caseless<'a>(&'a str);
+
+impl PartialEq for Caseless<'_> {
+    fn eq(&self, other: &Self) -> bool {
+        self.0 == other.0 || self.0.eq_ignore_ascii_case(other.0)
+    }
+}
+
+impl Eq for Caseless<'_> {}
+
+impl Hash for Caseless<'_> {
+    fn hash<H: Hasher>(&self, state: &mut H) {
+        // Whole words of the name with `A..=Z` mapped to `a..=z`: its
+        // 8-byte chunks with the last one overlapping the one before, or
+        // for a shorter name two overlapping halves or three bytes.
+        let b = self.0.as_bytes();
+        let n = b.len();
+        let word = |i: usize| u64::from_le_bytes(b[i..i + 8].try_into().expect("8 bytes"));
+        let half =
+            |i: usize| u64::from(u32::from_le_bytes(b[i..i + 4].try_into().expect("4 bytes")));
+        let last = if n >= 8 {
+            for i in (0..n - 8).step_by(8) {
+                state.write_u64(ascii_lower(word(i)));
+            }
+            word(n - 8)
+        } else if n >= 4 {
+            half(0) | half(n - 4) << 32
+        } else if n > 0 {
+            u64::from(b[0]) | u64::from(b[n / 2]) << 8 | u64::from(b[n - 1]) << 16
+        } else {
+            0
+        };
+        state.write_u64(ascii_lower(last) ^ (n as u64) << 56);
+    }
+}
+
+/// `u64::from_le_bytes(b.map(|c| c.to_ascii_lowercase()))` for the bytes
+/// `b` of `x`.
+fn ascii_lower(x: u64) -> u64 {
+    const LO7: u64 = 0x7f7f_7f7f_7f7f_7f7f;
+    const HI: u64 = 0x8080_8080_8080_8080;
+    let lo7 = x & LO7;
+    // Bit 7 of a byte is set when its low seven bits are `>= b'A'`, and
+    // when they are `> b'Z'`; neither sum carries into the next byte.
+    let ge_a = lo7 + 0x3f3f_3f3f_3f3f_3f3f;
+    let gt_z = lo7 + 0x2525_2525_2525_2525;
+    let upper = ge_a & !gt_z & !x & HI;
+    x | (upper >> 2)
+}
+
+/// Most tokens a card has (a `G` card).
+const MAX_TOKENS: usize = 6;
+
+/// The one parse walk behind [`parse_spice`] and
+/// [`parse_spice_circuit`]: a line at a time, its tokens split in place.
+fn parse_with<'a>(text: &'a str, nodes: &mut NodeTable<'a>) -> Result<Circuit, ParseError> {
+    let mut ckt = Circuit::new();
+    let mut tokens = [""; MAX_TOKENS];
     for (lineno, raw) in text.lines().enumerate() {
         let line = lineno + 1;
-        let stripped = raw.split(';').next().unwrap_or("").trim();
-        if stripped.is_empty() || stripped.starts_with('*') {
+        let count = split_tokens(raw, &mut tokens);
+        let card = tokens[0];
+        // Tokens are never empty, but a parser must have no panic path
+        // on any input, so an empty first token reads as a blank line.
+        let Some(kind) = card.as_bytes().first().map(u8::to_ascii_uppercase) else {
+            continue;
+        };
+        if count == 0 || kind == b'*' {
             continue;
         }
-        if stripped.eq_ignore_ascii_case(".end") {
+        if count == 1 && card.eq_ignore_ascii_case(".end") {
             break;
         }
-        let tokens: Vec<&str> = stripped.split_whitespace().collect();
-        // `trim` and `split_whitespace` share `char::is_whitespace`, so a
-        // non-empty `stripped` always yields at least one non-empty token —
-        // but a parser must have no panic path on *any* input, so both
-        // lookups stay fallible and degrade to "blank line".
-        let Some(&card) = tokens.first() else {
-            continue;
-        };
-        let Some(kind) = card.chars().next() else {
-            continue;
-        };
         let err = |message: String| ParseError { line, message };
-        match kind.to_ascii_uppercase() {
-            'R' | 'C' | 'L' => {
-                if tokens.len() != 4 {
+        match kind {
+            b'R' | b'C' | b'L' => {
+                if count != 4 {
                     return Err(err(format!(
                         "{card}: expected `<name> <node+> <node-> <value>`"
                     )));
                 }
-                let a = node(&mut ckt, tokens[1]);
-                let b = node(&mut ckt, tokens[2]);
+                let a = nodes.node(&mut ckt, tokens[1]);
+                let b = nodes.node(&mut ckt, tokens[2]);
                 let v = parse_value(tokens[3])
                     .ok_or_else(|| err(format!("{card}: bad value `{}`", tokens[3])))?;
-                match kind.to_ascii_uppercase() {
-                    'R' => ckt.add_resistor(card, a, b, v),
-                    'C' => ckt.add_capacitor(card, a, b, v),
+                match kind {
+                    b'R' => ckt.add_resistor(card, a, b, v),
+                    b'C' => ckt.add_capacitor(card, a, b, v),
                     _ => ckt.add_inductor(card, a, b, v),
                 }
             }
-            'K' => {
-                if tokens.len() != 4 {
+            b'K' => {
+                if count != 4 {
                     return Err(err(format!("{card}: expected `<name> <L1> <L2> <k>`")));
                 }
                 let k = parse_value(tokens[3])
                     .ok_or_else(|| err(format!("{card}: bad coefficient `{}`", tokens[3])))?;
                 ckt.add_mutual(card, tokens[1], tokens[2], k);
             }
-            'G' => {
-                if tokens.len() != 6 {
+            b'G' => {
+                if count != 6 {
                     return Err(err(format!(
                         "{card}: expected `<name> <out+> <out-> <ctrl+> <ctrl-> <gm>`"
                     )));
                 }
-                let oa = node(&mut ckt, tokens[1]);
-                let ob = node(&mut ckt, tokens[2]);
-                let cp = node(&mut ckt, tokens[3]);
-                let cm = node(&mut ckt, tokens[4]);
+                let oa = nodes.node(&mut ckt, tokens[1]);
+                let ob = nodes.node(&mut ckt, tokens[2]);
+                let cp = nodes.node(&mut ckt, tokens[3]);
+                let cm = nodes.node(&mut ckt, tokens[4]);
                 let gm = parse_value(tokens[5])
                     .ok_or_else(|| err(format!("{card}: bad value `{}`", tokens[5])))?;
                 ckt.add_vccs(card, oa, ob, cp, cm, gm);
             }
-            'P' => {
-                if tokens.len() != 3 {
+            b'P' => {
+                if count != 3 {
                     return Err(err(format!("{card}: expected `<name> <node+> <node->`")));
                 }
-                let plus = node(&mut ckt, tokens[1]);
-                let minus = node(&mut ckt, tokens[2]);
+                let plus = nodes.node(&mut ckt, tokens[1]);
+                let minus = nodes.node(&mut ckt, tokens[2]);
                 ckt.add_port(card, plus, minus);
             }
             _ => {
@@ -157,37 +243,127 @@ pub fn parse_spice(text: &str) -> Result<(Circuit, HashMap<String, usize>), Pars
             }
         }
     }
-    Ok((ckt, names))
+    Ok(ckt)
 }
 
-/// Parses a SPICE number with optional magnitude suffix.
+/// Splits `line` before its first `;` at whitespace, as
+/// `str::split_whitespace` does; stores the first [`MAX_TOKENS`] tokens
+/// in `tokens` and returns how many there are. ASCII is split by bytes
+/// in one pass; a line with any other character is handed whole to
+/// `split_whitespace`, for the Unicode spaces.
+fn split_tokens<'a>(line: &'a str, tokens: &mut [&'a str; MAX_TOKENS]) -> usize {
+    let mut count = 0;
+    let mut push = |count: &mut usize, token: &'a str| {
+        if let Some(slot) = tokens.get_mut(*count) {
+            *slot = token;
+        }
+        *count += 1;
+    };
+    // The ASCII characters `char::is_whitespace` accepts.
+    let space = |b: u8| matches!(b, b' ' | b'\t' | b'\n' | 0x0b | 0x0c | b'\r');
+    let bytes = line.as_bytes();
+    let mut i = 0;
+    loop {
+        while i < bytes.len() && space(bytes[i]) {
+            i += 1;
+        }
+        if i == bytes.len() || bytes[i] == b';' {
+            return count;
+        }
+        let start = i;
+        while i < bytes.len() && !space(bytes[i]) && bytes[i] != b';' {
+            if !bytes[i].is_ascii() {
+                let code = line.split(';').next().unwrap_or("");
+                let mut count = 0;
+                code.split_whitespace().for_each(|t| push(&mut count, t));
+                return count;
+            }
+            i += 1;
+        }
+        push(&mut count, &line[start..i]);
+    }
+}
+
+/// Parses a SPICE number with optional magnitude suffix (any case).
 ///
 /// Returns `None` on malformed input. Accepts negative values (synthesized
 /// circuits may contain them).
 pub fn parse_value(token: &str) -> Option<f64> {
-    let t = token.to_ascii_lowercase();
-    let (mantissa, mult) = if let Some(stripped) = t.strip_suffix("meg") {
-        (stripped, 1e6)
-    } else if let Some(stripped) = t.strip_suffix('f') {
-        (stripped, 1e-15)
-    } else if let Some(stripped) = t.strip_suffix('p') {
-        (stripped, 1e-12)
-    } else if let Some(stripped) = t.strip_suffix('n') {
-        (stripped, 1e-9)
-    } else if let Some(stripped) = t.strip_suffix('u') {
-        (stripped, 1e-6)
-    } else if let Some(stripped) = t.strip_suffix('m') {
-        (stripped, 1e-3)
-    } else if let Some(stripped) = t.strip_suffix('k') {
-        (stripped, 1e3)
-    } else if let Some(stripped) = t.strip_suffix('g') {
-        (stripped, 1e9)
-    } else if let Some(stripped) = t.strip_suffix('t') {
-        (stripped, 1e12)
+    let bytes = token.as_bytes();
+    let suffix = |len: usize, mult: f64| Some((&token[..token.len() - len], mult));
+    let split = if bytes.len() >= 3 && bytes[bytes.len() - 3..].eq_ignore_ascii_case(b"meg") {
+        suffix(3, 1e6)
     } else {
-        (t.as_str(), 1.0)
+        match bytes.last().map(u8::to_ascii_lowercase) {
+            Some(b'f') => suffix(1, 1e-15),
+            Some(b'p') => suffix(1, 1e-12),
+            Some(b'n') => suffix(1, 1e-9),
+            Some(b'u') => suffix(1, 1e-6),
+            Some(b'm') => suffix(1, 1e-3),
+            Some(b'k') => suffix(1, 1e3),
+            Some(b'g') => suffix(1, 1e9),
+            Some(b't') => suffix(1, 1e12),
+            _ => None,
+        }
     };
+    let (mantissa, mult) = split.unwrap_or((token, 1.0));
+    // `f64::from_str` reads `e`/`E`, `inf` and `nan` in any case, so the
+    // mantissa needs no lowercasing.
     mantissa.parse::<f64>().ok().map(|v| v * mult)
+}
+
+/// The circuit `parse_spice(&to_spice(&ckt)).0` returns, without writing
+/// or parsing text: nodes renumbered by first appearance in the
+/// canonical text (element cards in order, then ports; ground stays
+/// `0`, unreferenced nodes are dropped) and mutual coefficients rounded
+/// through `{k:.12e}`. Non-finite values, which have no canonical
+/// spelling the parser reads back, are kept as they are, for
+/// [`Circuit::validate`] to reject.
+pub fn canonical_circuit(mut ckt: Circuit) -> Circuit {
+    const UNSEEN: usize = usize::MAX;
+    let mut index = vec![UNSEEN; ckt.num_nodes.max(1)];
+    index[0] = 0;
+    let mut next = 1;
+    let mut renumber = |n: &mut usize| {
+        if index[*n] == UNSEEN {
+            index[*n] = next;
+            next += 1;
+        }
+        *n = index[*n];
+    };
+    let mut text = String::new();
+    for e in &mut ckt.elements {
+        match e {
+            Element::Resistor { a, b, .. }
+            | Element::Capacitor { a, b, .. }
+            | Element::Inductor { a, b, .. } => {
+                renumber(a);
+                renumber(b);
+            }
+            Element::Mutual { k, .. } => {
+                text.clear();
+                let _ = write!(text, "{k:.12e}");
+                *k = parse_value(&text).unwrap_or(*k);
+            }
+            Element::Vccs {
+                out_a,
+                out_b,
+                cp,
+                cm,
+                ..
+            } => {
+                for n in [out_a, out_b, cp, cm] {
+                    renumber(n);
+                }
+            }
+        }
+    }
+    for p in &mut ckt.ports {
+        renumber(&mut p.plus);
+        renumber(&mut p.minus);
+    }
+    ckt.num_nodes = next;
+    ckt
 }
 
 /// A node as the writers spell it: ground `0`, a subcircuit pin by its
@@ -199,56 +375,75 @@ enum NodeName<'a> {
     Index(usize),
 }
 
-impl fmt::Display for NodeName<'_> {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+impl NodeName<'_> {
+    /// Appends the spelling, after a space.
+    fn push_to(self, out: &mut String) {
+        out.push(' ');
         match self {
-            NodeName::Ground => f.write_str("0"),
-            NodeName::Pin(name) => f.write_str(name),
-            NodeName::Index(n) => write!(f, "n{n}"),
+            NodeName::Ground => out.push('0'),
+            NodeName::Pin(name) => out.push_str(name),
+            NodeName::Index(n) => {
+                out.push('n');
+                push_decimal(out, n);
+            }
         }
     }
 }
 
+/// Appends `n` in decimal, as `{n}` writes it.
+fn push_decimal(out: &mut String, mut n: usize) {
+    let mut digits = [0u8; 20];
+    let mut start = digits.len();
+    loop {
+        start -= 1;
+        digits[start] = b'0' + (n % 10) as u8;
+        n /= 10;
+        if n == 0 {
+            break;
+        }
+    }
+    out.push_str(std::str::from_utf8(&digits[start..]).expect("ASCII digits"));
+}
+
 /// Writes one line per element of `ckt` into `out`, spelling node `n` as
-/// `node(n)`: the card syntax both writers share.
+/// `node(n)`: the card syntax both writers share. Only the values go
+/// through `fmt`.
 fn write_elements<'a>(out: &mut String, ckt: &Circuit, node: impl Fn(usize) -> NodeName<'a>) {
     for e in ckt.elements() {
+        out.push_str(e.name());
         // Writing to a `String` cannot fail.
         let _ = match e {
-            Element::Resistor {
-                name,
-                a,
-                b,
-                ohms: v,
-            }
+            Element::Resistor { a, b, ohms: v, .. }
             | Element::Capacitor {
-                name,
-                a,
-                b,
-                farads: v,
+                a, b, farads: v, ..
             }
             | Element::Inductor {
-                name,
-                a,
-                b,
-                henries: v,
-            } => writeln!(out, "{name} {} {} {v:e}", node(*a), node(*b)),
-            Element::Mutual { name, l1, l2, k } => writeln!(out, "{name} {l1} {l2} {k:.12e}"),
+                a, b, henries: v, ..
+            } => {
+                node(*a).push_to(out);
+                node(*b).push_to(out);
+                writeln!(out, " {v:e}")
+            }
+            Element::Mutual { l1, l2, k, .. } => {
+                for l in [l1, l2] {
+                    out.push(' ');
+                    out.push_str(l);
+                }
+                writeln!(out, " {k:.12e}")
+            }
             Element::Vccs {
-                name,
                 out_a,
                 out_b,
                 cp,
                 cm,
                 gm,
-            } => writeln!(
-                out,
-                "{name} {} {} {} {} {gm:e}",
-                node(*out_a),
-                node(*out_b),
-                node(*cp),
-                node(*cm)
-            ),
+                ..
+            } => {
+                for n in [out_a, out_b, cp, cm] {
+                    node(*n).push_to(out);
+                }
+                writeln!(out, " {gm:e}")
+            }
         };
     }
 }
@@ -301,7 +496,10 @@ pub fn to_spice(ckt: &Circuit) -> String {
     out.push_str("* netlist written by mpvl-circuit\n");
     write_elements(&mut out, ckt, node);
     for p in ckt.ports() {
-        let _ = writeln!(out, "{} {} {}", p.name, node(p.plus), node(p.minus));
+        out.push_str(&p.name);
+        node(p.plus).push_to(&mut out);
+        node(p.minus).push_to(&mut out);
+        out.push('\n');
     }
     out.push_str(".end\n");
     out
@@ -311,6 +509,21 @@ pub fn to_spice(ckt: &Circuit) -> String {
 mod tests {
     use super::*;
     use mpvl_la::Complex64;
+
+    #[test]
+    fn ascii_lower_lowercases_each_byte_alone() {
+        for b in 0..=255u8 {
+            for lane in 0..8 {
+                let mut bytes = *b"xY_9\x80Mz@";
+                bytes[lane] = b;
+                assert_eq!(
+                    ascii_lower(u64::from_le_bytes(bytes)),
+                    u64::from_le_bytes(bytes.map(|c| c.to_ascii_lowercase())),
+                    "byte {b:#04x} in lane {lane}"
+                );
+            }
+        }
+    }
 
     #[test]
     fn parses_values_with_suffixes() {

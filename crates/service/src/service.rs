@@ -20,7 +20,7 @@
 use crate::error::ServiceError;
 use crate::hash::Sha256;
 use crate::registry::ModelRegistry;
-use mpvl_circuit::{parse_spice, to_spice, Circuit, MnaSystem};
+use mpvl_circuit::{canonical_circuit, parse_spice_circuit, to_spice, Circuit, MnaSystem};
 use mpvl_engine::{
     AdaptiveInfo, Backend, BalancedInfo, CrossValidation, EvalPoint, EvalRequest, Lru, ModelId,
     MultiPointInfo, OrderSpec, ReduceSpec, ReductionSession, SessionOptions, Want,
@@ -134,7 +134,8 @@ fn at_least_one(n: usize, what: &str) -> Result<usize, ServiceError> {
 /// A validated unit of work: a netlist (parsed and canonicalized at
 /// construction — malformed input never reaches a worker) plus the
 /// reduction to perform and an optional evaluation sweep of the
-/// result.
+/// result. The request keeps the canonical circuit, so a session is
+/// assembled from it without parsing the canonical text again.
 ///
 /// Two addresses are derived at construction:
 ///
@@ -150,6 +151,8 @@ fn at_least_one(n: usize, what: &str) -> Result<usize, ServiceError> {
 #[derive(Debug, Clone)]
 pub struct ServiceRequest {
     canonical: String,
+    /// `canonical_circuit` of the parsed netlist, shared by clones.
+    circuit: Arc<Circuit>,
     shard_hex: String,
     key_hex: String,
     spec: ReduceSpec,
@@ -170,7 +173,7 @@ impl ServiceRequest {
     /// [`ServiceError::InvalidRequest`] for a circuit with no ports
     /// (nothing to reduce against).
     pub fn from_spec(netlist: &str, spec: ReduceSpec) -> Result<Self, ServiceError> {
-        let (ckt, _names) = parse_spice(netlist)?;
+        let ckt = parse_spice_circuit(netlist)?;
         if ckt.num_ports() == 0 {
             return Err(ServiceError::InvalidRequest {
                 reason: "netlist declares no ports (add `P<name> <node+> <node->` cards)".into(),
@@ -183,6 +186,7 @@ impl ServiceRequest {
         let key_hex = state.finish_hex();
         Ok(ServiceRequest {
             canonical,
+            circuit: Arc::new(canonical_circuit(ckt)),
             shard_hex,
             key_hex,
             spec,
@@ -217,6 +221,14 @@ impl ServiceRequest {
     /// The canonical (round-trip stable) form of the netlist.
     pub fn canonical_netlist(&self) -> &str {
         &self.canonical
+    }
+
+    /// The circuit [`ServiceRequest::canonical_netlist`] parses back
+    /// to, built without parsing it (see
+    /// [`canonical_circuit`](mpvl_circuit::canonical_circuit)): what a
+    /// session is assembled from.
+    pub fn circuit(&self) -> &Circuit {
+        &self.circuit
     }
 
     /// The registry content address (64 hex chars).
@@ -565,7 +577,7 @@ impl ReductionService {
     /// models come back from the registry). Returns `false` when the
     /// netlist does not parse or has no live session.
     pub fn evict_session(&self, netlist: &str) -> bool {
-        let Ok((ckt, _)) = parse_spice(netlist) else {
+        let Ok(ckt) = parse_spice_circuit(netlist) else {
             return false;
         };
         let shard_hex = canonical_hash(&ckt).1.finish_hex();
@@ -652,9 +664,7 @@ impl ReductionService {
         if let Some(session) = shards.get(&request.shard_hex) {
             return Ok(session.clone());
         }
-        let (ckt, _) = parse_spice(&request.canonical)
-            .expect("canonical netlists round-trip through the parser");
-        let sys = MnaSystem::assemble(&ckt)?;
+        let sys = MnaSystem::assemble(&request.circuit)?;
         let session = Arc::new(ReductionSession::with_options(
             sys,
             self.opts.session.clone(),

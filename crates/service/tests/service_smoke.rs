@@ -2,7 +2,7 @@
 //! eviction, admission control, drain, panic containment — and the
 //! inherited bit-identity contract against the bare engine.
 
-use mpvl_circuit::{parse_spice, MnaSystem};
+use mpvl_circuit::{parse_spice, CircuitError, MnaError, MnaSystem};
 use mpvl_engine::{EvalRequest, ReduceSpec, ReductionSession};
 use mpvl_service::{ReductionService, ServiceError, ServiceOptions, ServiceRequest};
 use std::path::PathBuf;
@@ -33,6 +33,30 @@ fn ingestion_rejects_bad_netlists_before_any_work() {
             .with_eval(vec![]),
         Err(ServiceError::InvalidRequest { .. })
     ));
+}
+
+#[test]
+fn overflowing_values_are_typed_errors_not_panics() {
+    // `1e400` parses to ±inf, which the canonical text spells `inf`:
+    // the session is assembled from the canonical circuit, whose
+    // validation reports the value.
+    let service = ReductionService::new(ServiceOptions::default());
+    for value in ["1e400", "-1e400"] {
+        let netlist = format!("R1 a b 1k\nC1 b 0 {value}\nPa a 0\n.end");
+        let request =
+            ServiceRequest::from_spec(&netlist, ReduceSpec::pade_fixed(2).unwrap()).unwrap();
+        assert!(request.canonical_netlist().contains("inf\n"));
+        let err = service.submit(&request).unwrap_err();
+        assert!(
+            matches!(
+                &err,
+                ServiceError::Assemble(MnaError::Circuit(CircuitError::BadValue { element, value }))
+                    if element == "C1" && value.is_infinite()
+            ),
+            "{value}: {err}"
+        );
+    }
+    assert_eq!(service.stats().panics, 0);
 }
 
 #[test]

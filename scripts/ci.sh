@@ -150,7 +150,7 @@ MPVL_THREADS=2 cargo test -q --offline -p mpvl-engine --lib -- \
     a_panic_under_a_session_lock_does_not_poison_later_requests \
     model_store_is_bounded_and_retires_ids
 
-smoke_bench bench_service service_batch/mixed
+smoke_bench bench_service service_batch/mixed service_ingest/ladder
 smoke_bench bench_eval speedup/compiled_vs_lu/40x2001
 smoke_bench bench_multipoint multipoint/reduce_2pt multipoint_adaptive/worst_band_error
 smoke_bench bench_bt bt/hankel_spectrum bt/reduce bt/hankel_bound
