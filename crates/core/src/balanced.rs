@@ -275,20 +275,6 @@ pub struct BalancedOutcome {
     pub estimated_band_error: f64,
 }
 
-/// Hankel spectrum diagnostic from the low-rank Lyapunov solve alone
-/// (no reduced model is assembled). See [`hankel_spectrum`].
-#[derive(Debug, Clone)]
-pub struct HankelSpectrum {
-    /// Hankel singular values of the dynamic part, descending.
-    pub hankel: Vec<f64>,
-    /// Final extended-Krylov basis dimension.
-    pub basis_dim: usize,
-    /// Extended-Krylov expansion steps performed.
-    pub iterations: usize,
-    /// Whether the spectrum converged before the basis cap.
-    pub converged: bool,
-}
-
 /// Reduces `sys` by low-rank balanced truncation over the options'
 /// band.
 ///
@@ -313,64 +299,13 @@ where
     F: FnMut(&MnaSystem, FactorTarget) -> Result<Arc<GFactor>, SympvlError>,
 {
     let _span = mpvl_obs::span("balanced", "reduce_balanced");
-    let core = drive(sys, opts, factor_fn, StopRule::Band)?;
-    let model = core.model.expect("band rule always assembles a model");
-    Ok(BalancedOutcome {
-        model,
-        hankel: core.hankel,
-        hankel_bound: core.hankel_bound,
-        kept: core.kept,
-        basis_dim: core.basis_dim,
-        iterations: core.iterations,
-        converged: core.converged,
-        estimated_band_error: core.estimated_band_error,
-    })
-}
-
-/// Runs the low-rank Lyapunov solve and returns the Hankel spectrum
-/// without assembling candidate models: convergence is judged on the
-/// stationarity of the total Hankel sum instead of the band probes.
-/// This isolates the Gramian cost for benchmarks and gives a quick
-/// "how reducible is this system" diagnostic.
-///
-/// # Errors
-///
-/// Same as [`reduce_balanced`].
-pub fn hankel_spectrum(sys: &MnaSystem, opts: &BtOptions) -> Result<HankelSpectrum, SympvlError> {
-    let _span = mpvl_obs::span("balanced", "hankel_spectrum");
-    let core = drive(sys, opts, &mut factor_target, StopRule::Spectrum)?;
-    Ok(HankelSpectrum {
-        hankel: core.hankel,
-        basis_dim: core.basis_dim,
-        iterations: core.iterations,
-        converged: core.converged,
-    })
-}
-
-/// How the extended-Krylov loop decides it is done.
-enum StopRule {
-    /// Compare consecutive truncated candidate models on the band
-    /// probes (the frequency-aware criterion).
-    Band,
-    /// Compare consecutive total Hankel sums (spectrum-only runs).
-    Spectrum,
-}
-
-struct BtCore {
-    model: Option<ReducedModel>,
-    hankel: Vec<f64>,
-    hankel_bound: f64,
-    kept: usize,
-    basis_dim: usize,
-    iterations: usize,
-    converged: bool,
-    estimated_band_error: f64,
+    drive(sys, opts, factor_fn)
 }
 
 /// One truncated snapshot of the current subspace: Gramian, spectrum,
-/// and (under the band rule) the assembled candidate model.
+/// and the assembled candidate model.
 struct Candidate {
-    model: Option<ReducedModel>,
+    model: ReducedModel,
     hankel: Vec<f64>,
     hankel_bound: f64,
     kept: usize,
@@ -380,8 +315,7 @@ fn drive<F>(
     sys: &MnaSystem,
     opts: &BtOptions,
     factor_fn: &mut F,
-    rule: StopRule,
-) -> Result<BtCore, SympvlError>
+) -> Result<BalancedOutcome, SympvlError>
 where
     F: FnMut(&MnaSystem, FactorTarget) -> Result<Arc<GFactor>, SympvlError>,
 {
@@ -448,19 +382,9 @@ where
     let mut estimated = f64::INFINITY;
 
     loop {
-        let cand = candidate(sys, opts, &f_ref, &basis, &abasis, &r, s_ref, &rule)?;
+        let cand = candidate(sys, opts, &f_ref, &basis, &abasis, &r, s_ref)?;
         if let Some(last) = &prev {
-            let diff = match rule {
-                StopRule::Band => {
-                    let a = cand.model.as_ref().expect("band rule model");
-                    let b = last.model.as_ref().expect("band rule model");
-                    band_disagreement(a, b, &opts.probe_freqs_hz)?.0
-                }
-                // The Hankel *sum* is invariant by construction
-                // (trace(AP) = ‖r‖²/2 for AP + PA = rrᵀ), so spectrum
-                // stationarity compares the sorted values entrywise.
-                StopRule::Spectrum => spectrum_drift(&cand.hankel, &last.hankel),
-            };
+            let diff = band_disagreement(&cand.model, &last.model, &opts.probe_freqs_hz)?.0;
             estimated = diff;
             if diff <= opts.tol {
                 converged = true;
@@ -498,7 +422,7 @@ where
     }
 
     let last = prev.expect("at least one candidate is always built");
-    Ok(BtCore {
+    Ok(BalancedOutcome {
         model: last.model,
         hankel: last.hankel,
         hankel_bound: last.hankel_bound,
@@ -508,20 +432,6 @@ where
         converged,
         estimated_band_error: estimated,
     })
-}
-
-/// Worst entrywise relative change between two descending HSV lists
-/// (shorter list padded with zeros), relative to the current leader.
-fn spectrum_drift(cur: &[f64], last: &[f64]) -> f64 {
-    let top = cur.first().copied().unwrap_or(0.0).max(1e-300);
-    let len = cur.len().max(last.len());
-    let mut worst = 0.0f64;
-    for i in 0..len {
-        let a = cur.get(i).copied().unwrap_or(0.0);
-        let b = last.get(i).copied().unwrap_or(0.0);
-        worst = worst.max((a - b).abs() / top);
-    }
-    worst
 }
 
 /// Applies `A` to every basis column not yet mirrored in `abasis`.
@@ -609,8 +519,8 @@ fn grow(
 }
 
 /// Solves the projected Lyapunov equation on the current basis, ranks
-/// directions by Hankel singular value, truncates, and (under the band
-/// rule) assembles the candidate reduced model.
+/// directions by Hankel singular value, truncates, and assembles the
+/// candidate reduced model.
 #[allow(clippy::too_many_arguments)]
 fn candidate(
     sys: &MnaSystem,
@@ -620,7 +530,6 @@ fn candidate(
     abasis: &[Vec<f64>],
     r: &Mat<f64>,
     s_ref: f64,
-    rule: &StopRule,
 ) -> Result<Candidate, SympvlError> {
     let _span = mpvl_obs::span("balanced", "lyapunov");
     mpvl_obs::counter_add("balanced", "lyapunov_solves", 1);
@@ -730,32 +639,27 @@ fn candidate(
     };
     let hankel_bound = 2.0 * hankel[kept..].iter().sum::<f64>();
 
-    let model = match rule {
-        StopRule::Spectrum => None,
-        StopRule::Band => {
-            // Selected directions in basis coordinates: the live static
-            // columns plus the kept balanced directions Z·U.
-            let mut sel = Mat::zeros(m, n_static + kept);
-            for (t, &c) in live_static.iter().enumerate() {
-                sel.col_mut(t).copy_from_slice(static_cols.col(c));
+    // Selected directions in basis coordinates: the live static columns
+    // plus the kept balanced directions Z·U.
+    let mut sel = Mat::zeros(m, n_static + kept);
+    for (t, &c) in live_static.iter().enumerate() {
+        sel.col_mut(t).copy_from_slice(static_cols.col(c));
+    }
+    for t in 0..kept {
+        let u = eig_c.vectors.col(k - 1 - t);
+        let dst = sel.col_mut(n_static + t);
+        for i in 0..m {
+            let mut acc = 0.0;
+            for (j, &uj) in u.iter().enumerate() {
+                acc += z_small[(i, j)] * uj;
             }
-            for t in 0..kept {
-                let u = eig_c.vectors.col(k - 1 - t);
-                let dst = sel.col_mut(n_static + t);
-                for i in 0..m {
-                    let mut acc = 0.0;
-                    for (j, &uj) in u.iter().enumerate() {
-                        acc += z_small[(i, j)] * uj;
-                    }
-                    dst[i] = acc;
-                }
-            }
-            // Physical coordinates X = M⁻ᵀ(V·sel), then the shared
-            // congruence-projection assembly.
-            let x = f_ref.apply_minv_t_mat(&v_mat.matmul(&sel));
-            Some(assemble_merged(sys, &x, opts.basis_tol, s_ref)?)
+            dst[i] = acc;
         }
-    };
+    }
+    // Physical coordinates X = M⁻ᵀ(V·sel), then the shared
+    // congruence-projection assembly.
+    let x = f_ref.apply_minv_t_mat(&v_mat.matmul(&sel));
+    let model = assemble_merged(sys, &x, opts.basis_tol, s_ref)?;
 
     Ok(Candidate {
         model,
@@ -1008,8 +912,8 @@ mod tests {
                 assert_eq!(za[(i, j)].im, zb[(i, j)].im);
             }
         }
-        let spec = hankel_spectrum(&sys, &opts).unwrap();
-        assert!(!spec.hankel.is_empty() && spec.basis_dim >= a.model.order());
+        assert_eq!(a.basis_dim, b.basis_dim);
+        assert!(!a.hankel.is_empty() && a.basis_dim >= a.model.order());
     }
 
     #[test]

@@ -280,12 +280,16 @@ impl GFactor {
         }
         let per_worker = x.ncols().div_ceil(mpvl_par::thread_count().max(1));
         let mut ranges: Vec<&mut [f64]> = out.as_mut_slice().chunks_mut(n * per_worker).collect();
-        mpvl_par::parallel_for_chunks(&mut ranges, |offset, chunk| {
-            let mut stage = vec![0.0; n * ROW_SOLVE_WIDTH];
-            for (k, cols) in chunk.iter_mut().enumerate() {
-                kernel(self, x, (offset + k) * per_worker, &mut stage, cols);
-            }
-        });
+        mpvl_par::parallel_for_chunks_with_init(
+            mpvl_par::thread_count(),
+            &mut ranges,
+            |_| vec![0.0; n * ROW_SOLVE_WIDTH],
+            |stage, offset, chunk| {
+                for (k, cols) in chunk.iter_mut().enumerate() {
+                    kernel(self, x, (offset + k) * per_worker, stage, cols);
+                }
+            },
+        );
         out
     }
 

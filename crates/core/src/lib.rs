@@ -63,10 +63,7 @@ pub mod synthesis;
 pub use adaptive::{
     band_disagreement, reduce_adaptive, reduce_adaptive_with, AdaptiveOptions, AdaptiveOutcome,
 };
-pub use balanced::{
-    hankel_spectrum, reduce_balanced, reduce_balanced_via, BalancedOutcome, BtOptions,
-    HankelSpectrum,
-};
+pub use balanced::{reduce_balanced, reduce_balanced_via, BalancedOutcome, BtOptions};
 pub use error::{Error, SympvlError};
 pub use eval::{EvalPlan, EvalWorkspace};
 pub use factor::GFactor;

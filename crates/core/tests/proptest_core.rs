@@ -7,9 +7,10 @@ use mpvl_la::{Complex64, Mat};
 use mpvl_par::with_threads;
 use mpvl_testkit::prop::check;
 use mpvl_testkit::{prop_assert, prop_assert_eq};
+use std::sync::atomic::{AtomicUsize, Ordering};
 use sympvl::{
     certify, exact_moments, read_model, reduce_multipoint, sympvl, write_model, Certificate,
-    GFactor, MultiPointOptions, SympvlOptions,
+    GFactor, LanczosOptions, MultiPointOptions, SympvlOptions,
 };
 
 #[test]
@@ -250,26 +251,65 @@ fn multipoint_merge_keeps_the_certificate() {
 
 #[test]
 fn matched_moments_equal_exact_moments() {
-    // §3: without deflation the order-n model matches q(n) = 2⌊n/p⌋
-    // matrix moments about the expansion point.
+    // §3: the order-n model matches at least q(n) = 2⌊n/p⌋ matrix
+    // moments about the expansion point, with or without deflation.
+    // `extra` adds a port whose incidence column is linearly dependent
+    // on the others, so the starting block must deflate: 1 repeats the
+    // first port's node pair, 2 reverses it (the column times −1), 3
+    // spans the first two port nodes (their columns' difference).
+    // Deflation drops candidates below `dtol` of their norm, so the
+    // moments hold to a tolerance scaled from it.
+    let tol = 100.0 * LanczosOptions::default().dtol;
+    let cases = AtomicUsize::new(0);
+    let deflated = AtomicUsize::new(0);
     check(
         "matched_moments_equal_exact_moments",
         24,
-        (0u64..3, 0u64..1000, (1usize..4, 1usize..13)),
-        |&(kind, seed, (ports, order))| {
-            let sys = random_passive(kind, seed, 10, ports);
-            let model = sympvl(&sys, order, &SympvlOptions::default()).unwrap();
-            if model.deflation_count() > 0 {
-                return Ok(());
+        (0u64..3, 0u64..1000, (1usize..4, 1usize..13, 0usize..4)),
+        |&(kind, seed, (ports, order, extra))| {
+            let mut ckt = match kind {
+                0 => random_rc(seed, 10, ports),
+                1 => random_rl(seed, 10, ports),
+                _ => random_lc(seed, 10, ports),
+            };
+            let first = ckt.ports()[0].clone();
+            match (extra, ckt.ports().get(1).cloned()) {
+                (0, _) => {}
+                (1, _) => ckt.add_port("pdup", first.plus, first.minus),
+                (3, Some(second)) => ckt.add_port("pdiff", first.plus, second.plus),
+                _ => ckt.add_port("prev", first.minus, first.plus),
             }
+            let sys = MnaSystem::assemble(&ckt).map_err(|e| e.to_string())?;
+            let model = sympvl(&sys, order, &SympvlOptions::default()).unwrap();
+            cases.fetch_add(1, Ordering::Relaxed);
+            if model.deflation_count() > 0 {
+                deflated.fetch_add(1, Ordering::Relaxed);
+            }
+            // Below order p the run stops before the dependent column.
+            prop_assert!(
+                extra == 0 || order < sys.num_ports() || model.deflation_count() > 0,
+                "a dependent port column did not deflate"
+            );
             let q = model.matched_moments();
             let exact = exact_moments(&sys, model.shift(), q).unwrap();
             for (k, ek) in exact.iter().enumerate() {
                 let err = (&model.moment(k) - ek).max_abs() / ek.max_abs().max(1e-300);
-                prop_assert!(err < 1e-6, "moment {k} of {q}: relative error {err:.3e}");
+                prop_assert!(
+                    err < tol,
+                    "moment {k} of {q} ({} deflations): relative error {err:.3e}",
+                    model.deflation_count()
+                );
             }
             Ok(())
         },
+    );
+    // Three of the four `extra` values force a deflation; require at
+    // least half the cases to have deflated so the property cannot pass
+    // on undeflated runs alone.
+    let (cases, deflated) = (cases.into_inner(), deflated.into_inner());
+    assert!(
+        2 * deflated >= cases,
+        "only {deflated} of {cases} cases deflated"
     );
 }
 

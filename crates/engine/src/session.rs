@@ -383,14 +383,6 @@ impl ReductionSession {
             .collect()
     }
 
-    /// The retained model behind an id, if it is currently retained
-    /// (counts as a use for the LRU bound). For the typed
-    /// evicted-vs-unknown distinction use
-    /// [`ReductionSession::lookup_model`].
-    pub fn model(&self, id: ModelId) -> Option<Arc<ReducedModel>> {
-        relock(&self.store).lookup(id).ok()
-    }
-
     /// Resolves an id to its retained model, distinguishing the two
     /// failure modes (counts as a use for the LRU bound).
     ///
@@ -898,7 +890,7 @@ mod tests {
         );
         // Capacity 2: the oldest model is gone and its id is retired —
         // a typed error, distinct from an id that never existed.
-        assert!(session.model(a).is_none());
+        assert!(session.lookup_model(a).is_err());
         let err = session
             .eval(&EvalRequest::new(a, vec![1e9]).unwrap())
             .unwrap_err();
@@ -939,7 +931,10 @@ mod tests {
             .eval(&EvalRequest::new(a, vec![1e9]).unwrap())
             .unwrap();
         let _c = session.reduce(&ReduceSpec::pade_fixed(4).unwrap());
-        assert!(session.model(a).is_some(), "recently used model survives");
+        assert!(
+            session.lookup_model(a).is_ok(),
+            "recently used model survives"
+        );
         assert_eq!(
             session.lookup_model(ModelId(1)).unwrap_err(),
             SympvlError::ModelEvicted { id: 1 }

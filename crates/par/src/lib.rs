@@ -4,14 +4,16 @@
 //! `std::thread::scope`. The design constraints, in order:
 //!
 //! 1. **Determinism.** Results are placed by input index, so the output of
-//!    [`parallel_map`] is identical for every thread count — including the
-//!    inline single-thread fallback. Callers (the AC sweep, benches) rely
-//!    on bit-identical serial/parallel output.
+//!    [`parallel_map_with`] is identical for every thread count — including
+//!    the inline single-thread fallback — and the chunks of
+//!    [`parallel_for_chunks_with_init`] depend only on the input length and
+//!    the worker count. Callers (the AC sweep, the blocked triangular
+//!    solves, benches) rely on bit-identical serial/parallel output.
 //! 2. **Hermeticity.** No registry dependencies; scoped threads mean no
 //!    `'static` bounds, so borrowed matrices and closures pass straight in.
 //! 3. **Per-worker state.** Numeric factorization workers need preallocated
-//!    workspaces; [`parallel_map_with`] hands each worker its own state
-//!    built once per thread, not once per item.
+//!    workspaces; both primitives hand each worker its own state built
+//!    once per thread (or chunk), not once per item.
 //!
 //! The default thread count honours the `MPVL_THREADS` environment
 //! variable (useful for benchmarking scaling curves and for forcing the
@@ -21,13 +23,10 @@
 //! # Examples
 //!
 //! ```
-//! let squares = mpvl_par::parallel_map(&[1u64, 2, 3, 4], |&x| x * x);
+//! use mpvl_par::{parallel_map_with, thread_count};
+//! let squares = parallel_map_with(thread_count(), &[1u64, 2, 3, 4], |_| (), |(), _, &x| x * x);
 //! assert_eq!(squares, vec![1, 4, 9, 16]);
 //! ```
-
-mod queue;
-
-pub use queue::{BoundedQueue, PushError};
 
 use std::cell::Cell;
 use std::sync::atomic::{AtomicUsize, Ordering};
@@ -100,18 +99,9 @@ pub fn thread_count_from(spec: Option<&str>) -> usize {
         })
 }
 
-/// Maps `f` over `items` on [`thread_count`] workers; output order matches
-/// input order regardless of scheduling.
-pub fn parallel_map<T, R, F>(items: &[T], f: F) -> Vec<R>
-where
-    T: Sync,
-    R: Send,
-    F: Fn(&T) -> R + Sync,
-{
-    parallel_map_with(thread_count(), items, |_| (), |(), _, item| f(item))
-}
-
-/// [`parallel_map`] with an explicit worker count and per-worker state.
+/// Maps `f` over `items` on `threads` workers, each with its own state;
+/// output order matches input order regardless of scheduling. Pass
+/// [`thread_count`] for the env-driven worker count.
 ///
 /// `init(w)` runs once on worker `w` (0-based) to build its private state —
 /// typically a preallocated numeric workspace — and `f(&mut state, i,
@@ -181,35 +171,9 @@ where
         .collect()
 }
 
-/// Splits `data` into one contiguous chunk per worker ([`thread_count`]
-/// workers) and runs `f(offset, chunk)` on each, where `offset` is the
-/// chunk's start index in `data`.
-pub fn parallel_for_chunks<T, F>(data: &mut [T], f: F)
-where
-    T: Send,
-    F: Fn(usize, &mut [T]) + Sync,
-{
-    parallel_for_chunks_with(thread_count(), data, f);
-}
-
-/// [`parallel_for_chunks`] with an explicit worker count.
-///
-/// Chunk boundaries depend only on `data.len()` and `threads` (ceiling
-/// division), never on scheduling. `threads <= 1` runs `f(0, data)` inline
-/// without spawning.
-///
-/// # Panics
-///
-/// Propagates a panic from any worker.
-pub fn parallel_for_chunks_with<T, F>(threads: usize, data: &mut [T], f: F)
-where
-    T: Send,
-    F: Fn(usize, &mut [T]) + Sync,
-{
-    parallel_for_chunks_with_init(threads, data, |_| (), |(), offset, slice| f(offset, slice));
-}
-
-/// [`parallel_for_chunks_with`] with per-chunk-worker state.
+/// Splits `data` into one contiguous chunk per worker (`threads`
+/// workers) and runs `f(&mut state, offset, chunk)` on each, where
+/// `offset` is the chunk's start index in `data`.
 ///
 /// `init(ci)` runs once on the worker handling chunk `ci` (0-based chunk
 /// index) to build its private state — typically a preallocated numeric
@@ -314,19 +278,27 @@ mod tests {
         let empty: Vec<u8> = Vec::new();
         assert!(parallel_map_with(8, &empty, |_| (), |(), _, &x| x).is_empty());
         assert_eq!(parallel_map_with(8, &[7u8], |_| (), |(), _, &x| x), vec![7]);
-        assert_eq!(parallel_map(&[1u8, 2], |&x| x + 1), vec![2, 3]);
+        assert_eq!(
+            parallel_map_with(thread_count(), &[1u8, 2], |_| (), |(), _, &x| x + 1),
+            vec![2, 3]
+        );
     }
 
     #[test]
     fn chunks_cover_every_index_exactly_once() {
         for threads in [1, 2, 3, 5, 16] {
             let mut data = vec![usize::MAX; 41];
-            parallel_for_chunks_with(threads, &mut data, |offset, chunk| {
-                for (k, v) in chunk.iter_mut().enumerate() {
-                    assert_eq!(*v, usize::MAX, "index visited twice");
-                    *v = offset + k;
-                }
-            });
+            parallel_for_chunks_with_init(
+                threads,
+                &mut data,
+                |_| (),
+                |(), offset, chunk| {
+                    for (k, v) in chunk.iter_mut().enumerate() {
+                        assert_eq!(*v, usize::MAX, "index visited twice");
+                        *v = offset + k;
+                    }
+                },
+            );
             let expect: Vec<usize> = (0..41).collect();
             assert_eq!(data, expect, "threads={threads}");
         }

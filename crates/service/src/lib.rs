@@ -22,10 +22,10 @@
 //!    circuit, so a service juggling many netlists bounds its memory
 //!    while each circuit still gets the full benefit of cached
 //!    factorizations and resumable Lanczos runs.
-//! 4. **Admission control** — a bounded in-flight ticket pool
-//!    ([`mpvl_par::BoundedQueue`]). The request over the bound is
-//!    rejected *immediately and deterministically* with
-//!    [`ServiceError::Overloaded`] — no unbounded queue, no tail
+//! 4. **Admission control** — a count of in-flight tickets under one
+//!    lock, bounded by [`ServiceOptions::max_in_flight`]. The request
+//!    over the bound is rejected *immediately and deterministically*
+//!    with [`ServiceError::Overloaded`] — no unbounded queue, no tail
 //!    latency cliff — and [`ReductionService::drain`] gives a graceful
 //!    shutdown barrier. Handler panics are contained at the boundary
 //!    ([`ServiceError::Panicked`]); the engine's locks recover from
@@ -56,6 +56,7 @@
 //! # }
 //! ```
 
+mod admission;
 mod error;
 mod hash;
 mod registry;

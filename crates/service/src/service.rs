@@ -10,29 +10,31 @@
 //! > `shards` → `registry` → `counters`
 //!
 //! (only [`ReductionService::stats`] takes more than one, holding all
-//! three so the snapshot is consistent). Session-internal locks nest
+//! three so the snapshot is consistent, and reading the admission
+//! gate's count last; the gate's own lock is never held while another
+//! is taken). Session-internal locks nest
 //! strictly *inside* a single session call and are never held across
 //! service locks, so the combined order is acyclic. Every acquisition
 //! recovers from poisoning, same as the engine: a panicking request is
 //! contained by `catch_unwind` at the submit boundary and must not
 //! brick the service.
 
+use crate::admission::{Admission, Ticket};
 use crate::error::ServiceError;
 use crate::hash::Sha256;
 use crate::registry::ModelRegistry;
-use mpvl_circuit::{canonical_circuit, parse_spice_circuit, to_spice, Circuit, MnaSystem};
+use mpvl_circuit::{canonical_circuit, parse_spice_circuit, to_spice, Circuit, Element, MnaSystem};
 use mpvl_engine::{
     AdaptiveInfo, Backend, BalancedInfo, CrossValidation, EvalPoint, EvalRequest, Lru, ModelId,
     MultiPointInfo, OrderSpec, ReduceSpec, ReductionSession, SessionOptions, Want,
 };
 use mpvl_la::Complex64;
-use mpvl_par::{BoundedQueue, PushError};
 use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::path::PathBuf;
 use std::sync::{Arc, Mutex, MutexGuard, PoisonError};
 use sympvl::{Certificate, PointPlacement, ReducedModel, Shift, SympvlError, SynthesizedCircuit};
 
-fn relock<T>(m: &Mutex<T>) -> MutexGuard<'_, T> {
+pub(crate) fn relock<T>(m: &Mutex<T>) -> MutexGuard<'_, T> {
     m.lock().unwrap_or_else(PoisonError::into_inner)
 }
 
@@ -170,10 +172,12 @@ impl ServiceRequest {
     /// # Errors
     ///
     /// [`ServiceError::Parse`] on malformed input;
-    /// [`ServiceError::InvalidRequest`] for a circuit with no ports
-    /// (nothing to reduce against).
+    /// [`ServiceError::InvalidRequest`] for an element value that is
+    /// not finite (`1e400`, `nan`, …; named with its element), and for
+    /// a circuit with no ports (nothing to reduce against).
     pub fn from_spec(netlist: &str, spec: ReduceSpec) -> Result<Self, ServiceError> {
         let ckt = parse_spice_circuit(netlist)?;
+        reject_non_finite(&ckt)?;
         if ckt.num_ports() == 0 {
             return Err(ServiceError::InvalidRequest {
                 reason: "netlist declares no ports (add `P<name> <node+> <node->` cards)".into(),
@@ -240,6 +244,27 @@ impl ServiceRequest {
     pub fn shard_key(&self) -> &str {
         &self.shard_hex
     }
+}
+
+/// Refuses the first element whose value is not finite. Such values
+/// parse (`1e400` is `inf`) but no circuit built from them assembles,
+/// so they get no canonical text and no key.
+fn reject_non_finite(ckt: &Circuit) -> Result<(), ServiceError> {
+    for element in ckt.elements() {
+        let value = match element {
+            Element::Resistor { ohms: v, .. }
+            | Element::Capacitor { farads: v, .. }
+            | Element::Inductor { henries: v, .. }
+            | Element::Mutual { k: v, .. }
+            | Element::Vccs { gm: v, .. } => *v,
+        };
+        if !value.is_finite() {
+            return Err(ServiceError::InvalidRequest {
+                reason: format!("element {} has non-finite value {value}", element.name()),
+            });
+        }
+    }
+    Ok(())
 }
 
 /// The canonical text of `ckt` and the hash state after it. The state's
@@ -447,17 +472,6 @@ pub struct ServiceStats {
     pub in_flight: usize,
 }
 
-/// An admission ticket: holds one slot of the in-flight bound, released
-/// on drop (including when the handler panics — the guard lives outside
-/// `catch_unwind`).
-struct Ticket<'a>(&'a BoundedQueue<()>);
-
-impl Drop for Ticket<'_> {
-    fn drop(&mut self) {
-        self.0.try_pop();
-    }
-}
-
 /// Reduction as a service: hand it netlists, get reduced models back.
 ///
 /// Wraps the [`ReductionSession`] engine with the operational layer a
@@ -484,7 +498,7 @@ impl Drop for Ticket<'_> {
 /// ```
 pub struct ReductionService {
     opts: ServiceOptions,
-    admission: BoundedQueue<()>,
+    admission: Admission,
     /// Live sessions, keyed by shard (canonical-netlist) hash.
     shards: Mutex<Lru<String, Arc<ReductionSession>>>,
     registry: ModelRegistry,
@@ -496,7 +510,7 @@ impl ReductionService {
     /// Builds a service with the given bounds.
     pub fn new(opts: ServiceOptions) -> Self {
         ReductionService {
-            admission: BoundedQueue::new(opts.max_in_flight),
+            admission: Admission::new(opts.max_in_flight),
             shards: Mutex::new(Lru::new(opts.max_sessions)),
             registry: ModelRegistry::new(opts.registry_capacity, opts.registry_dir.clone()),
             counters: Mutex::new(ServiceStats::default()),
@@ -567,8 +581,7 @@ impl ReductionService {
     /// in-flight request has finished. Idempotent; afterwards every
     /// submit gets [`ServiceError::ShuttingDown`].
     pub fn drain(&self) {
-        self.admission.close();
-        self.admission.wait_empty();
+        self.admission.drain();
     }
 
     /// Drops the live session for `netlist` (its retained models and
@@ -607,31 +620,27 @@ impl ReductionService {
             registry_misses: registry.misses,
             live_sessions: shards.len(),
             registry_models: registry.entries.len(),
-            in_flight: self.admission.len(),
+            in_flight: self.admission.in_flight(),
             ..counters.clone()
         }
     }
 
+    /// Takes an admission ticket, counting the admission or the
+    /// rejection. The ticket is released on drop, also when the handler
+    /// panics: it lives outside `catch_unwind`.
     fn admit(&self) -> Result<Ticket<'_>, ServiceError> {
-        match self.admission.try_push(()) {
-            Ok(()) => {
-                relock(&self.counters).admitted += 1;
-                mpvl_obs::counter_add("service", "admitted", 1);
-                Ok(Ticket(&self.admission))
+        let admitted = self.admission.try_enter();
+        let mut counters = relock(&self.counters);
+        let (count, name) = match &admitted {
+            Ok(_) => (&mut counters.admitted, "admitted"),
+            Err(ServiceError::ShuttingDown) => {
+                (&mut counters.rejected_shutdown, "rejected_shutdown")
             }
-            Err(PushError::Full(())) => {
-                relock(&self.counters).rejected_overload += 1;
-                mpvl_obs::counter_add("service", "rejected_overload", 1);
-                Err(ServiceError::Overloaded {
-                    capacity: self.admission.capacity(),
-                })
-            }
-            Err(PushError::Closed(())) => {
-                relock(&self.counters).rejected_shutdown += 1;
-                mpvl_obs::counter_add("service", "rejected_shutdown", 1);
-                Err(ServiceError::ShuttingDown)
-            }
-        }
+            Err(_) => (&mut counters.rejected_overload, "rejected_overload"),
+        };
+        *count += 1;
+        mpvl_obs::counter_add("service", name, 1);
+        admitted
     }
 
     /// Runs `f` with panic containment: a panic becomes

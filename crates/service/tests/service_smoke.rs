@@ -2,8 +2,8 @@
 //! eviction, admission control, drain, panic containment — and the
 //! inherited bit-identity contract against the bare engine.
 
-use mpvl_circuit::{parse_spice, CircuitError, MnaError, MnaSystem};
-use mpvl_engine::{EvalRequest, ReduceSpec, ReductionSession};
+use mpvl_circuit::{parse_spice, to_spice, MnaSystem};
+use mpvl_engine::{EvalRequest, ReduceSpec, ReductionSession, Want};
 use mpvl_service::{ReductionService, ServiceError, ServiceOptions, ServiceRequest};
 use std::path::PathBuf;
 
@@ -37,26 +37,21 @@ fn ingestion_rejects_bad_netlists_before_any_work() {
 
 #[test]
 fn overflowing_values_are_typed_errors_not_panics() {
-    // `1e400` parses to ±inf, which the canonical text spells `inf`:
-    // the session is assembled from the canonical circuit, whose
-    // validation reports the value.
-    let service = ReductionService::new(ServiceOptions::default());
-    for value in ["1e400", "-1e400"] {
+    // `1e400` parses to ±inf and the NaN spellings to NaN: ingest
+    // refuses them by element and value before deriving any key.
+    for value in ["1e400", "-1e400", "infk", "nanm", "NaNK"] {
         let netlist = format!("R1 a b 1k\nC1 b 0 {value}\nPa a 0\n.end");
-        let request =
-            ServiceRequest::from_spec(&netlist, ReduceSpec::pade_fixed(2).unwrap()).unwrap();
-        assert!(request.canonical_netlist().contains("inf\n"));
-        let err = service.submit(&request).unwrap_err();
+        let err =
+            ServiceRequest::from_spec(&netlist, ReduceSpec::pade_fixed(2).unwrap()).unwrap_err();
         assert!(
             matches!(
                 &err,
-                ServiceError::Assemble(MnaError::Circuit(CircuitError::BadValue { element, value }))
-                    if element == "C1" && value.is_infinite()
+                ServiceError::InvalidRequest { reason }
+                    if reason.contains("element C1") && reason.contains("non-finite")
             ),
             "{value}: {err}"
         );
     }
-    assert_eq!(service.stats().panics, 0);
 }
 
 #[test]
@@ -367,4 +362,36 @@ fn registry_memory_tier_evicts_least_recently_used() {
         stats.registry_models,
     );
     assert_eq!(registry, (1, 3, 1));
+}
+
+#[test]
+fn synthesis_by_product_matches_synthesize_rc_of_the_model() {
+    let opts = sympvl::SynthesisOptions::new();
+    let spec = ReduceSpec::pade_fixed(4)
+        .unwrap()
+        .with_want(Want::model_only().with_synthesis(opts.clone()));
+    let netlist = ladder(12, 80.0, 2e-12);
+    let expected = |model: &sympvl::ReducedModel| {
+        to_spice(&sympvl::synthesize_rc(model, &opts).unwrap().circuit)
+    };
+
+    let (ckt, _) = parse_spice(&netlist).unwrap();
+    let session = ReductionSession::new(MnaSystem::assemble(&ckt).unwrap());
+    let direct = session.reduce(&spec).unwrap();
+    let synthesized = direct.synthesis.expect("synthesis requested");
+    assert!(!synthesized.circuit.elements().is_empty());
+    assert_eq!(to_spice(&synthesized.circuit), expected(&direct.model));
+
+    let service = ReductionService::new(ServiceOptions::default());
+    let request = ServiceRequest::from_spec(&netlist, spec).unwrap();
+    for hit in [false, true] {
+        let outcome = service.submit(&request).unwrap();
+        assert_eq!(outcome.registry_hit, hit);
+        let synthesized = outcome.synthesis.expect("synthesis requested");
+        assert_eq!(
+            to_spice(&synthesized.circuit),
+            expected(&outcome.model),
+            "registry hit = {hit}"
+        );
+    }
 }

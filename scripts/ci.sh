@@ -153,7 +153,7 @@ MPVL_THREADS=2 cargo test -q --offline -p mpvl-engine --lib -- \
 smoke_bench bench_service service_batch/mixed service_ingest/ladder
 smoke_bench bench_eval speedup/compiled_vs_lu/40x2001
 smoke_bench bench_multipoint multipoint/reduce_2pt multipoint_adaptive/worst_band_error
-smoke_bench bench_bt bt/hankel_spectrum bt/reduce bt/hankel_bound
+smoke_bench bench_bt bt/reduce bt/hankel_bound
 
 echo "==> perfbench tests (replay fidelity)"
 # perfbench is its own workspace, so the workspace run above skips it.
