@@ -16,16 +16,14 @@ use mpvl_bench::Gates;
 use mpvl_circuit::generators::{interconnect, package, InterconnectParams, PackageParams};
 use mpvl_circuit::MnaSystem;
 use mpvl_la::{Complex64, Mat};
-use mpvl_sim::FreqGrid;
+use mpvl_sim::log_space;
 use mpvl_testkit::bench::Bench;
 use sympvl::{sympvl, EvalPlan, ReducedModel, SympvlOptions};
 
 fn s_values(points: usize) -> Vec<Complex64> {
-    FreqGrid::log(1e6, 1e10, points)
-        .expect("valid grid")
-        .as_slice()
-        .iter()
-        .map(|&f| Complex64::new(0.0, 2.0 * std::f64::consts::PI * f))
+    log_space(1e6, 1e10, points)
+        .into_iter()
+        .map(|f| Complex64::new(0.0, 2.0 * std::f64::consts::PI * f))
         .collect()
 }
 

@@ -13,7 +13,7 @@
 use mpvl_bench::{max, median, rel_err, write_csv};
 use mpvl_circuit::generators::{peec, stats, PeecParams};
 use mpvl_la::Complex64;
-use mpvl_sim::{ac_sweep, FreqGrid};
+use mpvl_sim::{ac_sweep, try_lin_space};
 use sympvl::{sympvl, Shift, SympvlOptions};
 
 fn main() -> Result<(), Box<dyn std::error::Error>> {
@@ -35,7 +35,7 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     let s0 = (2.0 * std::f64::consts::PI * 1e9).powi(2);
     println!("frequency shift s0 = {s0:.4e} (σ domain)");
 
-    let freqs = FreqGrid::lin(1e8, 5e9, 160)?.into_vec();
+    let freqs = try_lin_space(1e8, 5e9, 160)?;
     let exact = ac_sweep(sys, &freqs)?;
 
     let orders = [20usize, 50, 56];

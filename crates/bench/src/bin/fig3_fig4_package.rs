@@ -13,7 +13,7 @@ use mpvl_bench::{max, median, rel_err, write_csv};
 use mpvl_circuit::generators::{package, stats, PackageParams};
 use mpvl_circuit::MnaSystem;
 use mpvl_la::Complex64;
-use mpvl_sim::{ac_sweep, FreqGrid};
+use mpvl_sim::{ac_sweep, try_lin_space};
 use sympvl::{sympvl, Shift, SympvlOptions};
 
 fn main() -> Result<(), Box<dyn std::error::Error>> {
@@ -36,7 +36,7 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
         sys.dim()
     );
 
-    let freqs = FreqGrid::lin(1e8, 2e9, 48)?.into_vec();
+    let freqs = try_lin_space(1e8, 2e9, 48)?;
     println!("running exact AC sweep ({} factorizations)...", freqs.len());
     let exact = ac_sweep(&sys, &freqs)?;
 

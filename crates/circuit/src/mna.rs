@@ -352,32 +352,12 @@ impl MnaSystem {
 
     /// Maps a Laplace frequency `s` to the pencil variable `σ = s^{s_power}`.
     pub fn sigma(&self, s: Complex64) -> Complex64 {
-        match self.s_power {
-            1 => s,
-            2 => s * s,
-            p => {
-                let mut acc = Complex64::ONE;
-                for _ in 0..p {
-                    acc *= s;
-                }
-                acc
-            }
-        }
+        s.powu(self.s_power)
     }
 
     /// The leading factor `s^{output_s_factor}` of `Z(s)`.
     pub fn output_factor(&self, s: Complex64) -> Complex64 {
-        match self.output_s_factor {
-            0 => Complex64::ONE,
-            1 => s,
-            p => {
-                let mut acc = Complex64::ONE;
-                for _ in 0..p {
-                    acc *= s;
-                }
-                acc
-            }
-        }
+        s.powu(self.output_s_factor)
     }
 
     /// Reference evaluation of the exact `Z(s)` by a *dense* complex solve.

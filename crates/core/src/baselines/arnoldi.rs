@@ -109,10 +109,7 @@ impl ArnoldiModel {
     ///
     /// Returns [`SympvlError::Singular`] on an exact pole hit.
     pub fn eval(&self, s: Complex64) -> Result<Mat<Complex64>, SympvlError> {
-        let mut sigma = Complex64::ONE;
-        for _ in 0..self.s_power {
-            sigma *= s;
-        }
+        let sigma = s.powu(self.s_power);
         let n = self.order();
         let k = Mat::from_fn(n, n, |i, j| {
             Complex64::from_real(self.ghat[(i, j)]) + sigma * self.chat[(i, j)]
@@ -124,10 +121,7 @@ impl ArnoldiModel {
         let y = lu.solve_mat(&b).map_err(|_| SympvlError::Singular {
             context: "Arnoldi model evaluation",
         })?;
-        let mut factor = Complex64::ONE;
-        for _ in 0..self.output_s_factor {
-            factor *= s;
-        }
+        let factor = s.powu(self.output_s_factor);
         Ok(b.t_matmul(&y).scale(factor))
     }
 

@@ -131,19 +131,13 @@ impl AweModel {
     /// Evaluates `Zₙ(s)` with the `σ = s^{sp}` substitution and leading
     /// `s` factor, matching [`crate::ReducedModel::eval`].
     pub fn eval(&self, s: Complex64) -> Complex64 {
-        let mut sigma = Complex64::ONE;
-        for _ in 0..self.s_power {
-            sigma *= s;
-        }
+        let sigma = s.powu(self.s_power);
         let x = sigma - self.shift;
         let mut z = Complex64::ZERO;
         for (&r, &b) in self.residues.iter().zip(&self.bs) {
             z += r / (Complex64::ONE - x * b);
         }
-        let mut factor = Complex64::ONE;
-        for _ in 0..self.output_s_factor {
-            factor *= s;
-        }
+        let factor = s.powu(self.output_s_factor);
         z * factor
     }
 }

@@ -112,10 +112,7 @@ impl ModalModel {
 
     /// Evaluates the truncated modal sum at `s`.
     pub fn eval(&self, s: Complex64) -> Mat<Complex64> {
-        let mut sigma = Complex64::ONE;
-        for _ in 0..self.s_power {
-            sigma *= s;
-        }
+        let sigma = s.powu(self.s_power);
         let x = sigma - self.shift;
         let p = self.num_ports();
         let mut z = Mat::zeros(p, p);
@@ -128,10 +125,7 @@ impl ModalModel {
                 }
             }
         }
-        let mut factor = Complex64::ONE;
-        for _ in 0..self.output_s_factor {
-            factor *= s;
-        }
+        let factor = s.powu(self.output_s_factor);
         z.scale(factor)
     }
 

@@ -216,10 +216,7 @@ impl MpvlModel {
     ///
     /// Returns [`SympvlError::Singular`] on an exact pole hit.
     pub fn eval(&self, s: Complex64) -> Result<Mat<Complex64>, SympvlError> {
-        let mut sigma = Complex64::ONE;
-        for _ in 0..self.s_power {
-            sigma *= s;
-        }
+        let sigma = s.powu(self.s_power);
         let x = sigma - self.shift;
         let m = self.order();
         let kmat = Mat::from_fn(m, m, |i, j| {
@@ -233,10 +230,7 @@ impl MpvlModel {
             .map_err(|_| SympvlError::Singular {
                 context: "MPVL evaluation",
             })?;
-        let mut factor = Complex64::ONE;
-        for _ in 0..self.output_s_factor {
-            factor *= s;
-        }
+        let factor = s.powu(self.output_s_factor);
         Ok(self
             .lhat
             .map(Complex64::from_real)

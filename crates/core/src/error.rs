@@ -1,8 +1,6 @@
-//! Error types: [`SympvlError`] for the SyMPVL core, and the
-//! workspace-level unified [`Error`] that every layer's failure
-//! converts into via `From` — so a driver mixing netlist parsing,
-//! assembly, reduction, simulation, and synthesis can use one `?`-able
-//! result type end to end.
+//! [`SympvlError`], the error type of the SyMPVL core. Each layer keeps
+//! its own error type; a driver that mixes layers can return
+//! `Box<dyn std::error::Error>` and use `?` throughout.
 
 use std::fmt;
 
@@ -104,119 +102,3 @@ impl fmt::Display for SympvlError {
 }
 
 impl std::error::Error for SympvlError {}
-
-/// Workspace-level unified error: any failure from parsing, MNA
-/// assembly, sparse factorization, dense linear algebra, reduction,
-/// simulation, or network-parameter conversion, behind one type.
-///
-/// Every leaf error converts in via `From`, so drivers that mix layers
-/// can return `Result<_, sympvl::Error>` and use `?` throughout:
-///
-/// ```
-/// use mpvl_circuit::{generators::rc_ladder, MnaSystem};
-/// use sympvl::{sympvl, SympvlOptions};
-/// fn pipeline() -> Result<usize, sympvl::Error> {
-///     let sys = MnaSystem::assemble(&rc_ladder(30, 100.0, 1e-12))?; // MnaError
-///     let model = sympvl(&sys, 6, &SympvlOptions::default())?; // SympvlError
-///     let ac = mpvl_sim::ac_sweep(&sys, &[1e6, 1e9])?; // AcError
-///     Ok(model.order() + ac.len())
-/// }
-/// # fn main() { assert_eq!(pipeline().unwrap(), 8); }
-/// ```
-#[derive(Debug, Clone, PartialEq)]
-#[non_exhaustive]
-pub enum Error {
-    /// Reduction / synthesis / certification ([`SympvlError`]).
-    Sympvl(SympvlError),
-    /// Netlist construction ([`mpvl_circuit::CircuitError`]).
-    Circuit(mpvl_circuit::CircuitError),
-    /// MNA assembly ([`mpvl_circuit::MnaError`]).
-    Mna(mpvl_circuit::MnaError),
-    /// SPICE-deck parsing ([`mpvl_circuit::ParseError`]).
-    Parse(mpvl_circuit::ParseError),
-    /// AC sweep ([`mpvl_sim::AcError`]).
-    Ac(mpvl_sim::AcError),
-    /// DC analysis ([`mpvl_sim::DcError`]).
-    Dc(mpvl_sim::DcError),
-    /// Transient integration ([`mpvl_sim::TransientError`]).
-    Transient(mpvl_sim::TransientError),
-    /// Waveform measurement ([`mpvl_sim::TraceError`]).
-    Trace(mpvl_sim::TraceError),
-    /// Z/Y/S parameter conversion ([`mpvl_sim::ConvertParamsError`]).
-    ConvertParams(mpvl_sim::ConvertParamsError),
-    /// Sparse LDLᵀ factorization ([`mpvl_sparse::LdltError`]).
-    Ldlt(mpvl_sparse::LdltError),
-    /// Dense LU hit a singular matrix
-    /// ([`mpvl_la::SingularMatrixError`]).
-    Singular(mpvl_la::SingularMatrixError),
-    /// Dense eigenvalue iteration failed to converge
-    /// ([`mpvl_la::EigenConvergenceError`]).
-    Eigen(mpvl_la::EigenConvergenceError),
-}
-
-macro_rules! unified_from {
-    ($($variant:ident ( $leaf:ty )),+ $(,)?) => {
-        $(impl From<$leaf> for Error {
-            fn from(e: $leaf) -> Self {
-                Error::$variant(e)
-            }
-        })+
-
-        impl fmt::Display for Error {
-            fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-                match self {
-                    $(Error::$variant(e) => fmt::Display::fmt(e, f),)+
-                }
-            }
-        }
-
-        impl std::error::Error for Error {
-            fn source(&self) -> Option<&(dyn std::error::Error + 'static)> {
-                match self {
-                    $(Error::$variant(e) => Some(e),)+
-                }
-            }
-        }
-    };
-}
-
-unified_from! {
-    Sympvl(SympvlError),
-    Circuit(mpvl_circuit::CircuitError),
-    Mna(mpvl_circuit::MnaError),
-    Parse(mpvl_circuit::ParseError),
-    Ac(mpvl_sim::AcError),
-    Dc(mpvl_sim::DcError),
-    Transient(mpvl_sim::TransientError),
-    Trace(mpvl_sim::TraceError),
-    ConvertParams(mpvl_sim::ConvertParamsError),
-    Ldlt(mpvl_sparse::LdltError),
-    Singular(mpvl_la::SingularMatrixError),
-    Eigen(mpvl_la::EigenConvergenceError),
-}
-
-#[cfg(test)]
-mod tests {
-    use super::*;
-
-    #[test]
-    fn from_conversions_wrap_and_display_delegates() {
-        let leaf = SympvlError::BadOrder { order: 0 };
-        let unified: Error = leaf.clone().into();
-        assert_eq!(unified, Error::Sympvl(leaf.clone()));
-        assert_eq!(unified.to_string(), leaf.to_string());
-        let src = std::error::Error::source(&unified).expect("has source");
-        assert_eq!(src.to_string(), leaf.to_string());
-    }
-
-    #[test]
-    fn question_mark_converts_across_layers() {
-        fn inner() -> Result<(), Error> {
-            Err(SympvlError::EmptySystem)?
-        }
-        assert!(matches!(
-            inner(),
-            Err(Error::Sympvl(SympvlError::EmptySystem))
-        ));
-    }
-}

@@ -39,7 +39,7 @@
 //! fixed accumulation order), so a plan — and everything evaluated through
 //! it — is a pure function of the model, never of thread count or timing.
 
-use crate::model::{ipow, ReducedModel};
+use crate::model::ReducedModel;
 use crate::SympvlError;
 use mpvl_la::{general_eigen, sym_eigen, Complex64, Lu, Mat};
 use std::sync::Arc;
@@ -399,9 +399,9 @@ impl EvalPlan {
         s: Complex64,
         out: &mut Mat<Complex64>,
     ) -> Result<(), SympvlError> {
-        let sigma = ipow(s, self.s_power);
+        let sigma = s.powu(self.s_power);
         self.eval_sigma_into(ws, sigma, out)?;
-        let f = ipow(s, self.output_s_factor);
+        let f = s.powu(self.output_s_factor);
         for v in out.as_mut_slice() {
             *v = *v * f;
         }

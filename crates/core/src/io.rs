@@ -101,22 +101,27 @@ pub fn read_model(text: &str) -> Result<ReducedModel, SympvlError> {
     if header != "sympvl-rom v1" {
         return Err(bad(l, "unrecognized header"));
     }
-    let scalar_field = |line: (usize, &str), name: &str| -> Result<f64, SympvlError> {
+    // Counts and flags are unsigned integers: `order 2.5`, `-1` or
+    // `1e400` is a malformed file, not a model of order 2, 0 or MAX.
+    fn field<T: std::str::FromStr>(line: (usize, &str), name: &str) -> Result<T, SympvlError> {
+        let bad = |why: String| SympvlError::Synthesis {
+            reason: format!("ROM file line {}: {why}", line.0 + 1),
+        };
         let rest = line
             .1
             .strip_prefix(name)
-            .ok_or_else(|| bad(line.0, &format!("expected field `{name}`")))?;
+            .ok_or_else(|| bad(format!("expected field `{name}`")))?;
         rest.trim()
-            .parse::<f64>()
-            .map_err(|_| bad(line.0, &format!("bad value for `{name}`")))
-    };
-    let order = scalar_field(next(Some("order"))?, "order")? as usize;
-    let ports = scalar_field(next(Some("ports"))?, "ports")? as usize;
-    let shift = scalar_field(next(Some("shift"))?, "shift")?;
-    let s_power = scalar_field(next(Some("s_power"))?, "s_power")? as u32;
-    let osf = scalar_field(next(Some("output_s_factor"))?, "output_s_factor")? as u32;
-    let identity_j = scalar_field(next(Some("identity_j"))?, "identity_j")? != 0.0;
-    let original_dim = scalar_field(next(Some("original_dim"))?, "original_dim")? as usize;
+            .parse::<T>()
+            .map_err(|_| bad(format!("bad value for `{name}`")))
+    }
+    let order: usize = field(next(Some("order"))?, "order")?;
+    let ports: usize = field(next(Some("ports"))?, "ports")?;
+    let shift: f64 = field(next(Some("shift"))?, "shift")?;
+    let s_power: u32 = field(next(Some("s_power"))?, "s_power")?;
+    let osf: u32 = field(next(Some("output_s_factor"))?, "output_s_factor")?;
+    let identity_j = field::<u8>(next(Some("identity_j"))?, "identity_j")? != 0;
+    let original_dim: usize = field(next(Some("original_dim"))?, "original_dim")?;
     if order == 0 || ports == 0 {
         return Err(SympvlError::Synthesis {
             reason: "ROM file declares a zero-sized model".to_string(),
@@ -129,12 +134,30 @@ pub fn read_model(text: &str) -> Result<ReducedModel, SympvlError> {
     let mut exhausted = false;
     let mut pending = next(None)?;
     if pending.1.starts_with("deflations") {
-        deflations = scalar_field(pending, "deflations")? as usize;
+        deflations = field(pending, "deflations")?;
         pending = next(None)?;
     }
     if pending.1.starts_with("exhausted") {
-        exhausted = scalar_field(pending, "exhausted")? != 0.0;
+        exhausted = field::<u8>(pending, "exhausted")? != 0;
         pending = next(None)?;
+    }
+
+    // The body holds order·(2·order + ports) values of at least one
+    // byte each. Refuse a header the rest of the file cannot hold before
+    // allocating for it: a corrupt `order` must not ask for order² floats.
+    let bytes: usize = lines[pending.0..].iter().map(|l| l.len()).sum();
+    let fits = order
+        .checked_mul(2)
+        .and_then(|c| c.checked_add(ports))
+        .and_then(|c| c.checked_mul(order))
+        .is_some_and(|values| values <= bytes);
+    if !fits {
+        return Err(SympvlError::Synthesis {
+            reason: format!(
+                "ROM file declares order {order} with {ports} ports, more values than \
+                 its remaining {bytes} bytes can hold"
+            ),
+        });
     }
 
     let mut read_mat = |pre: Option<(usize, &str)>,
@@ -249,6 +272,41 @@ mod tests {
     fn rejects_zero_sized_models() {
         let text = "sympvl-rom v1\norder 0\nports 1\nshift 0\ns_power 1\noutput_s_factor 0\nidentity_j 1\noriginal_dim 5\n";
         assert!(read_model(text).is_err());
+    }
+
+    #[test]
+    fn counts_must_be_unsigned_integers_the_body_can_hold() {
+        let model = |order: &str| {
+            format!(
+                "sympvl-rom v1\norder {order}\nports 1\nshift 0\ns_power 1\n\
+                 output_s_factor 0\nidentity_j 1\noriginal_dim 5\n\
+                 T\n1.0 0.5\n0.5 1.0\nDELTA\n1.0 0.0\n0.0 1.0\nRHO\n1.0\n0.0\n"
+            )
+        };
+        assert_eq!(read_model(&model("2")).unwrap().order(), 2);
+        for bad in ["2.5", "-1", "1e400"] {
+            let err = read_model(&model(bad)).unwrap_err();
+            assert!(
+                err.to_string().contains("bad value for `order`"),
+                "{bad}: {err}"
+            );
+        }
+        // A huge declared order is refused before anything is allocated
+        // for it, and so is a header too large for its body.
+        for big in ["100000000", "10"] {
+            let err = read_model(&model(big)).unwrap_err();
+            assert!(err.to_string().contains("can hold"), "{big}: {err}");
+        }
+        // One row short: the body holds the values' bytes, and the read
+        // stops at the first section that runs out.
+        assert!(read_model(&model("3")).is_err());
+        let wide = model("2").replace("ports 1", "ports 100000000");
+        assert!(read_model(&wide)
+            .unwrap_err()
+            .to_string()
+            .contains("can hold"));
+        let fractional = model("2").replace("s_power 1", "s_power 1.5");
+        assert!(read_model(&fractional).is_err());
     }
 
     #[test]

@@ -64,7 +64,7 @@ pub use adaptive::{
     band_disagreement, reduce_adaptive, reduce_adaptive_with, AdaptiveOptions, AdaptiveOutcome,
 };
 pub use balanced::{reduce_balanced, reduce_balanced_via, BalancedOutcome, BtOptions};
-pub use error::{Error, SympvlError};
+pub use error::SympvlError;
 pub use eval::{EvalPlan, EvalWorkspace};
 pub use factor::GFactor;
 pub use io::{read_model, write_model};
@@ -79,11 +79,11 @@ pub use operator::KrylovOperator;
 pub use passivity::{certify, is_stable, sampled_passivity, Certificate, PassivityScan};
 pub use postprocess::{stabilize, PoleResidueModel, PostprocessOptions};
 pub use reduce::{
-    factor_target, factor_with_options_via, factor_with_shift_via, sympvl, FactorTarget, Shift,
-    SympvlOptions, DEFAULT_AUTO_RTOL,
+    factor_target, factor_with_options_via, sympvl, FactorTarget, Shift, SympvlOptions,
+    DEFAULT_AUTO_RTOL,
 };
 pub use run::SympvlRun;
-pub use state_space::{simulate_stamp, StampTransient};
+pub use state_space::simulate_stamp;
 pub use synthesis::{
     foster_synthesis, synthesize_rc, FosterSection, SynthesisOptions, SynthesizedCircuit,
 };

@@ -236,9 +236,9 @@ impl ReducedModel {
     /// # }
     /// ```
     pub fn eval(&self, s: Complex64) -> Result<Mat<Complex64>, SympvlError> {
-        let sigma = ipow(s, self.s_power);
+        let sigma = s.powu(self.s_power);
         let z = self.eval_sigma(sigma)?;
-        Ok(z.scale(ipow(s, self.output_s_factor)))
+        Ok(z.scale(s.powu(self.output_s_factor)))
     }
 
     /// The eigenvalues of `Tₙ`, computed at most once per model: the
@@ -353,15 +353,6 @@ impl ReducedModel {
 
 /// The time-domain stamp triple `(Ĝ, Ĉ, ρ)` of eq. (23).
 pub type StampMatrices = (Mat<f64>, Mat<f64>, Mat<f64>);
-
-/// Integer power for complex scalars.
-pub(crate) fn ipow(s: Complex64, p: u32) -> Complex64 {
-    let mut acc = Complex64::ONE;
-    for _ in 0..p {
-        acc *= s;
-    }
-    acc
-}
 
 #[cfg(test)]
 mod tests {

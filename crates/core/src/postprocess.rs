@@ -77,10 +77,7 @@ impl PoleResidueModel {
     /// Evaluates the stabilized transfer function at `s`, with the same
     /// `σ = s^{sp}` / leading-`s` conventions as [`ReducedModel::eval`].
     pub fn eval(&self, s: Complex64) -> Mat<Complex64> {
-        let mut sigma = Complex64::ONE;
-        for _ in 0..self.s_power {
-            sigma *= s;
-        }
+        let sigma = s.powu(self.s_power);
         let p = self.num_ports();
         let mut z = self.direct.clone();
         for (pk, rk) in self.poles.iter().zip(&self.residues) {
@@ -92,10 +89,7 @@ impl PoleResidueModel {
                 }
             }
         }
-        let mut factor = Complex64::ONE;
-        for _ in 0..self.output_s_factor {
-            factor *= s;
-        }
+        let factor = s.powu(self.output_s_factor);
         z.scale(factor)
     }
 }

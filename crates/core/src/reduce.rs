@@ -186,36 +186,19 @@ pub fn factor_target(sys: &MnaSystem, target: FactorTarget) -> Result<Arc<GFacto
     }
 }
 
-/// Resolves a [`Shift`] policy to a factorization, routing every
+/// Resolves the shift policy of `opts` to a factorization, routing every
 /// concrete factorization attempt through `factor_fn` — the seam the
 /// session engine uses to interpose its cache. `factor_fn` must behave
 /// like [`GFactor::factor`] on the [`FactorTarget`] matrix (returning a
 /// cached copy of exactly that result is fine; computing something else
 /// is not). The policy logic — validation guards, the `Auto`
-/// conditioning test, and the automatic-shift back-off ladder — lives
-/// here, once, so cached and uncached paths cannot drift.
-pub fn factor_with_shift_via<F>(
-    sys: &MnaSystem,
-    shift: Shift,
-    factor_fn: &mut F,
-) -> Result<(Arc<GFactor>, f64), SympvlError>
-where
-    F: FnMut(&MnaSystem, FactorTarget) -> Result<Arc<GFactor>, SympvlError>,
-{
-    let opts = SympvlOptions {
-        shift,
-        ..SympvlOptions::default()
-    };
-    factor_with_options_via(sys, &opts, factor_fn)
-}
-
-/// Like [`factor_with_shift_via`], but honouring the full
-/// [`SympvlOptions`] — in particular [`SympvlOptions::auto_rtol`], the
-/// `Auto` pivot-acceptance threshold. The acceptance decision is made
-/// here on every call, *outside* `factor_fn`: a cache behind the seam
-/// memoizes factorizations (including failures) per [`FactorTarget`]
-/// matrix only, so changing options re-judges a cached factor rather
-/// than being wrongly rejected by a stale decision.
+/// conditioning test against [`SympvlOptions::auto_rtol`], and the
+/// automatic-shift back-off ladder — lives here, once, so cached and
+/// uncached paths cannot drift. The acceptance decision is made on
+/// every call, *outside* `factor_fn`: a cache behind the seam memoizes
+/// factorizations (including failures) per [`FactorTarget`] matrix
+/// only, so changing options re-judges a cached factor rather than
+/// being wrongly rejected by a stale decision.
 pub fn factor_with_options_via<F>(
     sys: &MnaSystem,
     opts: &SympvlOptions,
@@ -296,7 +279,11 @@ pub(crate) fn factor_with_shift(
     sys: &MnaSystem,
     shift: Shift,
 ) -> Result<(Arc<GFactor>, f64), SympvlError> {
-    factor_with_shift_via(sys, shift, &mut factor_target)
+    let opts = SympvlOptions {
+        shift,
+        ..SympvlOptions::default()
+    };
+    factor_with_options_via(sys, &opts, &mut factor_target)
 }
 
 /// Packages a Lanczos outcome as a [`ReducedModel`] — the single

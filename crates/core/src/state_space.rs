@@ -13,22 +13,31 @@
 
 use crate::{ReducedModel, SympvlError};
 use mpvl_la::{Lu, Mat};
-use mpvl_sim::{Integrator, Waveform};
+use mpvl_sim::{integrate, Descriptor, Integrator, TransientResult, Waveform};
 
-/// Result of a reduced-model transient run (mirrors
-/// [`mpvl_sim::TransientResult`]).
-#[derive(Debug, Clone)]
-pub struct StampTransient {
-    /// Sample times, seconds.
-    pub times: Vec<f64>,
-    /// Port voltages, `(steps + 1) × p`.
-    pub port_voltages: Mat<f64>,
-    /// Wall-clock seconds in the time loop.
-    pub cpu_seconds: f64,
+/// The re-centred stamp `Ĝ x + Ĉ ẋ = ρ u(t)` as dense matrices.
+struct Stamp {
+    ghat: Mat<f64>,
+    chat: Mat<f64>,
+    rho: Mat<f64>,
+}
+
+impl Descriptor for Stamp {
+    fn b(&self) -> &Mat<f64> {
+        &self.rho
+    }
+    fn g_mul(&self, x: &[f64]) -> Vec<f64> {
+        self.ghat.matvec(x)
+    }
+    fn c_mul(&self, x: &[f64]) -> Vec<f64> {
+        self.chat.matvec(x)
+    }
 }
 
 /// Integrates eq. (23) from rest: `Ĝ x + Ĉ ẋ = ρ u(t)`, `v = ρᵀ x` with
-/// `Ĝ = Δ⁻¹ − s₀TΔ⁻¹` and `Ĉ = TΔ⁻¹` (the shift re-centres σ to `s`).
+/// `Ĝ = Δ⁻¹ − s₀TΔ⁻¹` and `Ĉ = TΔ⁻¹` (the shift re-centres σ to `s`),
+/// by the same time loop as [`mpvl_sim::transient`]
+/// ([`mpvl_sim::integrate`]), with a dense LU of the companion matrix.
 ///
 /// # Examples
 ///
@@ -61,76 +70,37 @@ pub fn simulate_stamp(
     h: f64,
     steps: usize,
     method: Integrator,
-) -> Result<StampTransient, SympvlError> {
+) -> Result<TransientResult, SympvlError> {
     if model.s_power() != 1 || model.output_s_factor() != 0 {
         return Err(SympvlError::Synthesis {
             reason: "time-domain stamp requires the plain σ = s form".to_string(),
         });
     }
-    let p = model.num_ports();
-    assert_eq!(sources.len(), p, "one waveform per port");
+    assert_eq!(sources.len(), model.num_ports(), "one waveform per port");
     assert!(h > 0.0 && h.is_finite(), "bad step size");
     let n = model.order();
-    let start = std::time::Instant::now();
 
     // Ghat/Chat from the stamp, re-centred: Z(s) = rho^T(Ghat + s Chat)^{-1} rho
     // with Ghat = Delta^{-1} - s0*T*Delta^{-1}, Chat = T*Delta^{-1}.
     let (dinv, tdinv, rho) = model.stamp()?;
     let s0 = model.shift();
-    let ghat = Mat::from_fn(n, n, |i, j| dinv[(i, j)] - s0 * tdinv[(i, j)]);
-    let chat = tdinv;
-
-    let alpha = match method {
-        Integrator::BackwardEuler => 1.0,
-        Integrator::Trapezoidal => 2.0,
+    let stamp = Stamp {
+        ghat: Mat::from_fn(n, n, |i, j| dinv[(i, j)] - s0 * tdinv[(i, j)]),
+        chat: tdinv,
+        rho,
     };
-    let k = Mat::from_fn(n, n, |i, j| ghat[(i, j)] + (alpha / h) * chat[(i, j)]);
-    let lu = Lu::new(k).map_err(|_| SympvlError::Singular {
-        context: "reduced-stamp companion matrix",
-    })?;
-
-    let eval_u = |t: f64| -> Vec<f64> { sources.iter().map(|w| w.eval(t)).collect() };
-    let mut x = vec![0.0f64; n];
-    let mut times = Vec::with_capacity(steps + 1);
-    let mut volt = Mat::zeros(steps + 1, p);
-    times.push(0.0);
-    let mut u_prev = eval_u(0.0);
-    for k_step in 1..=steps {
-        let t = k_step as f64 * h;
-        let u_next = eval_u(t);
-        let cx = chat.matvec(&x);
-        let rhs: Vec<f64> = match method {
-            Integrator::BackwardEuler => {
-                let mut r = rho.matvec(&u_next);
-                for i in 0..n {
-                    r[i] += cx[i] / h;
-                }
-                r
-            }
-            Integrator::Trapezoidal => {
-                let gx = ghat.matvec(&x);
-                let usum: Vec<f64> = u_next.iter().zip(&u_prev).map(|(a, b)| a + b).collect();
-                let mut r = rho.matvec(&usum);
-                for i in 0..n {
-                    r[i] += 2.0 * cx[i] / h - gx[i];
-                }
-                r
-            }
-        };
-        x = lu.solve(&rhs).map_err(|_| SympvlError::Singular {
-            context: "reduced-stamp step",
+    integrate(&stamp, sources, h, steps, method, |alpha_h| {
+        let k = Mat::from_fn(n, n, |i, j| {
+            stamp.ghat[(i, j)] + alpha_h * stamp.chat[(i, j)]
+        });
+        let lu = Lu::new(k).map_err(|_| SympvlError::Singular {
+            context: "reduced-stamp companion matrix",
         })?;
-        times.push(t);
-        let y = rho.t_matvec(&x);
-        for (j, &v) in y.iter().enumerate() {
-            volt[(k_step, j)] = v;
-        }
-        u_prev = u_next;
-    }
-    Ok(StampTransient {
-        times,
-        port_voltages: volt,
-        cpu_seconds: start.elapsed().as_secs_f64(),
+        Ok(move |rhs: &[f64]| {
+            lu.solve(rhs).map_err(|_| SympvlError::Singular {
+                context: "reduced-stamp step",
+            })
+        })
     })
 }
 
@@ -167,6 +137,49 @@ mod tests {
             for j in 0..2 {
                 let d = (full.port_voltages[(k, j)] - red.port_voltages[(k, j)]).abs();
                 assert!(d < 1e-3 * vmax, "step {k} port {j}: {d}");
+            }
+        }
+    }
+
+    #[test]
+    fn exact_model_stamp_tracks_full_transient_to_roundoff() {
+        // An exhausted (exact) model has the full circuit's transfer
+        // function, and the backward-Euler and bilinear maps do not
+        // depend on the realization, so the two runs of the shared time
+        // loop differ only by roundoff — at every step, both schemes.
+        let ckt = random_rc(3, 12, 2);
+        let sys = MnaSystem::assemble_general(&ckt).unwrap();
+        let model = sympvl(
+            &MnaSystem::assemble(&ckt).unwrap(),
+            64,
+            &SympvlOptions::default(),
+        )
+        .unwrap();
+        assert!(model.is_exact(), "order {} not exhausted", model.order());
+        let drive = [
+            Waveform::Step {
+                t0: 0.0,
+                amplitude: 1e-3,
+            },
+            Waveform::Pulse {
+                t0: 5e-11,
+                rise: 1e-10,
+                width: 1e-9,
+                fall: 1e-10,
+                amplitude: -5e-4,
+            },
+        ];
+        let (h, steps) = (2e-11, 400);
+        for method in [Integrator::BackwardEuler, Integrator::Trapezoidal] {
+            let full = transient(&sys, &drive, h, steps, method).unwrap();
+            let red = simulate_stamp(&model, &drive, h, steps, method).unwrap();
+            assert_eq!(full.times, red.times);
+            let vmax = full.port_voltages.max_abs();
+            for k in 0..=steps {
+                for j in 0..2 {
+                    let d = (full.port_voltages[(k, j)] - red.port_voltages[(k, j)]).abs();
+                    assert!(d <= 1e-9 * vmax, "{method:?} step {k} port {j}: {d:e}");
+                }
             }
         }
     }

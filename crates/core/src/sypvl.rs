@@ -145,10 +145,7 @@ impl SypvlModel {
     /// Lanczos–Padé connection:
     /// `Zₙ = ρ₁² / (1 + xα₁ − x²β₁² / (1 + xα₂ − …))`.
     pub fn eval(&self, s: Complex64) -> Complex64 {
-        let mut sigma = Complex64::ONE;
-        for _ in 0..self.s_power {
-            sigma *= s;
-        }
+        let sigma = s.powu(self.s_power);
         let x = sigma - self.shift;
         // Bottom-up evaluation of the continued fraction.
         let n = self.order();
@@ -161,10 +158,7 @@ impl SypvlModel {
             } else {
                 // Top level: Z = rho1^2 / denom.
                 let z = Complex64::from_real(self.rho1 * self.rho1) / denom;
-                let mut factor = Complex64::ONE;
-                for _ in 0..self.output_s_factor {
-                    factor *= s;
-                }
+                let factor = s.powu(self.output_s_factor);
                 return z * factor;
             };
         }

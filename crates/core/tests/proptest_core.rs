@@ -9,8 +9,8 @@ use mpvl_testkit::prop::check;
 use mpvl_testkit::{prop_assert, prop_assert_eq};
 use std::sync::atomic::{AtomicUsize, Ordering};
 use sympvl::{
-    certify, exact_moments, read_model, reduce_multipoint, sympvl, write_model, Certificate,
-    GFactor, LanczosOptions, MultiPointOptions, SympvlOptions,
+    block_lanczos, certify, exact_moments, read_model, reduce_multipoint, sympvl, write_model,
+    Certificate, GFactor, KrylovOperator, LanczosOptions, MultiPointOptions, SympvlOptions,
 };
 
 #[test]
@@ -369,5 +369,84 @@ fn gfactor_is_an_mjm_factorization_of_g() {
             }
             Ok(())
         },
+    );
+}
+
+#[test]
+fn lookahead_basis_is_j_biorthogonal_over_its_clusters() {
+    // §4: the look-ahead Lanczos vectors are J-biorthogonal cluster by
+    // cluster, VᵀJV = Δ with Δ block-diagonal over the closed clusters.
+    // General-RLC packages shifted in-band factor with an indefinite J,
+    // and cluster_tol = 1e-3 (the golden look-ahead case) makes
+    // look-ahead group vectors into clusters.
+    let cases = AtomicUsize::new(0);
+    let clustered = AtomicUsize::new(0);
+    check(
+        "lookahead_basis_is_j_biorthogonal_over_its_clusters",
+        24,
+        (0u64..1000, (6usize..13, 2usize..6), (12usize..49, 1u64..20)),
+        |&(seed, (pins, sections), (order, f_100mhz))| {
+            let ckt = package(&PackageParams {
+                pins,
+                signal_pins: vec![0, 1 + (seed as usize) % (pins - 1)],
+                sections,
+                ..PackageParams::default()
+            });
+            let sys = MnaSystem::assemble_general(&ckt).map_err(|e| e.to_string())?;
+            let s0 = 2.0 * std::f64::consts::PI * 1e8 * f_100mhz as f64;
+            let g = sys.g.add_scaled(1.0, &sys.c, s0);
+            let factor = GFactor::factor(&g, sys.num_node_unknowns).map_err(|e| e.to_string())?;
+            let j = factor.j_diag();
+            prop_assert!(!factor.is_identity_j(), "package J = I");
+            let opts = LanczosOptions {
+                cluster_tol: 1e-3,
+                ..LanczosOptions::default()
+            };
+            let start = factor.apply_minv_mat(&sys.b);
+            let op = KrylovOperator::new(&factor, &sys.c);
+            let out = block_lanczos(&op, &j, &start, order, &opts);
+            let n = out.order();
+            cases.fetch_add(1, Ordering::Relaxed);
+            if out.clusters.iter().any(|c| c.len() > 1) {
+                clustered.fetch_add(1, Ordering::Relaxed);
+            }
+            let mut cluster_of = vec![usize::MAX; n];
+            for (c, members) in out.clusters.iter().enumerate() {
+                for &i in members {
+                    cluster_of[i] = c;
+                }
+            }
+            prop_assert!(
+                cluster_of.iter().all(|&c| c != usize::MAX),
+                "clusters do not cover the {n} vectors: {:?}",
+                out.clusters
+            );
+            // The vectors have unit 2-norm, so 1e-9 is relative to the
+            // scale of every entry of VᵀJV.
+            for a in 0..n {
+                for b in 0..n {
+                    let vjv: f64 = (0..j.len())
+                        .map(|k| out.v[(k, a)] * j[k] * out.v[(k, b)])
+                        .sum();
+                    let delta = out.delta[(a, b)];
+                    if cluster_of[a] != cluster_of[b] {
+                        prop_assert!(delta == 0.0, "Δ[{a},{b}] = {delta:e} across clusters");
+                    }
+                    prop_assert!(
+                        (vjv - delta).abs() <= 1e-9,
+                        "(VᵀJV)[{a},{b}] = {vjv:e} vs Δ = {delta:e} (n {n}, {} forced closes)",
+                        out.forced_cluster_closes
+                    );
+                }
+            }
+            Ok(())
+        },
+    );
+    // About two cases in five form a cluster of two or more vectors;
+    // require a quarter so the property cannot pass on unclustered runs.
+    let (cases, clustered) = (cases.into_inner(), clustered.into_inner());
+    assert!(
+        4 * clustered >= cases,
+        "only {clustered} of {cases} cases formed a cluster larger than 1"
     );
 }

@@ -15,19 +15,21 @@
 //! * **Lanczos state** — adaptive requests and order escalations at an
 //!   already-visited shift *continue* the paused block-Lanczos process
 //!   ([`sympvl::SympvlRun`]) instead of restarting it.
-//! * **Symbolic LDLᵀ analysis** for AC sweeps ([`mpvl_sim::AcSweeper`]).
 //! * **Reduced models** and their compiled eval plans, addressable by
 //!   [`ModelId`] for later [`EvalRequest`]s.
 //!
 //! Each cache is an [`Lru`]; `reduce` and `eval` are one-element
 //! batches, and by-products come from [`Want::by_products`].
 //!
-//! The free functions [`sympvl::sympvl`], [`sympvl::reduce_adaptive`],
-//! and [`mpvl_sim::ac_sweep`] are thin wrappers over the same machinery,
-//! and the session's determinism contract is that caching never shows up
-//! in the results: every model, pole set, certificate, synthesis, and
-//! sweep is **bit-identical** to the corresponding free-function call,
-//! for any cache state, batch composition, or thread count.
+//! The free functions [`sympvl::sympvl`] and [`sympvl::reduce_adaptive`]
+//! are thin wrappers over the same machinery, and the session's
+//! determinism contract is that caching never shows up in the results:
+//! every model, pole set, certificate, synthesis, and sweep is
+//! **bit-identical** to the corresponding free-function call, for any
+//! cache state, batch composition, or thread count. Exact AC sweeps of
+//! the full system are not a session job: call [`mpvl_sim::ac_sweep`],
+//! or keep an [`mpvl_sim::AcSweeper`] to reuse its symbolic analysis
+//! across sweeps.
 //!
 //! ```
 //! use mpvl_circuit::{generators::rc_ladder, MnaSystem};

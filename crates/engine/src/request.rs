@@ -549,7 +549,7 @@ impl EvalRequest {
     }
 
     /// Builds a log-spaced sweep request through the validated
-    /// [`mpvl_sim::FreqGrid`] helper.
+    /// [`mpvl_sim::try_log_space`] grid.
     ///
     /// ```
     /// use mpvl_engine::{EvalRequest, ModelId};
@@ -564,7 +564,7 @@ impl EvalRequest {
     /// # Errors
     ///
     /// [`SympvlError::InvalidOptions`] unless `0 < f_lo <= f_hi` (finite)
-    /// and `points >= 1` (see [`mpvl_sim::FreqGrid::log`]; a degenerate
+    /// and `points >= 1` (see [`mpvl_sim::try_log_space`]; a degenerate
     /// span collapses to a single point).
     pub fn log_sweep(
         model: ModelId,
@@ -572,15 +572,12 @@ impl EvalRequest {
         f_hi: f64,
         points: usize,
     ) -> Result<Self, SympvlError> {
-        let grid = mpvl_sim::FreqGrid::log(f_lo, f_hi, points).map_err(|e| {
+        let freqs_hz = mpvl_sim::try_log_space(f_lo, f_hi, points).map_err(|e| {
             SympvlError::InvalidOptions {
                 reason: e.to_string(),
             }
         })?;
-        Ok(EvalRequest {
-            model,
-            freqs_hz: grid.into_vec(),
-        })
+        Ok(EvalRequest { model, freqs_hz })
     }
 }
 

@@ -2,17 +2,17 @@
 //!
 //! # Lock discipline
 //!
-//! The session guards four independent pieces of mutable state, each
+//! The session guards three independent pieces of mutable state, each
 //! behind its own mutex: the factorization cache (`factors`), the
-//! paused-run pool (`runs`), the model store (`store`), and the AC
-//! sweeper (`sweeper`). Whenever more than one lock must be held at
-//! once they are acquired in exactly that order —
+//! paused-run pool (`runs`) and the model store (`store`). Whenever
+//! more than one lock must be held at once they are acquired in exactly
+//! that order —
 //!
-//! > `factors` → `runs` → `store` → `sweeper`
+//! > `factors` → `runs` → `store`
 //!
 //! — which makes deadlock impossible by construction. Today only
 //! [`ReductionSession::cache_stats`] holds several at a time: it takes
-//! the first three simultaneously so the snapshot it returns is
+//! all three simultaneously so the snapshot it returns is
 //! *consistent* (every number describes the same instant, not a torn
 //! read across concurrent requests).
 //!
@@ -31,7 +31,6 @@ use crate::request::{
 };
 use mpvl_circuit::MnaSystem;
 use mpvl_la::{Complex64, Mat};
-use mpvl_sim::{AcError, AcPoint, AcSweeper};
 use std::sync::{Arc, Mutex, MutexGuard, PoisonError};
 use sympvl::{
     band_disagreement, expansion_shift, factor_target, reduce_adaptive_with, reduce_balanced_via,
@@ -256,16 +255,15 @@ impl RunProvider for SessionRuns<'_> {
 }
 
 /// One system, many reductions: a [`ReductionSession`] is constructed
-/// once from an [`MnaSystem`] and serves reduction, evaluation, and AC
-/// sweep requests, reusing everything reusable in between (the
+/// once from an [`MnaSystem`] and serves reduction and evaluation
+/// requests, reusing everything reusable in between (the
 /// [crate docs](crate) list what). Retained models are bounded by
 /// [`SessionOptions::max_retained_models`]; evicted ids are retired,
 /// never reused, so a stale handle gets [`SympvlError::ModelEvicted`].
 ///
 /// **Determinism contract:** every model a session produces is
 /// bit-identical to the corresponding free-function call
-/// ([`sympvl::sympvl`], [`sympvl::reduce_adaptive`],
-/// [`mpvl_sim::ac_sweep`]) — cache hits, evictions, batching, and
+/// ([`sympvl::sympvl`], [`sympvl::reduce_adaptive`]) — cache hits, evictions, batching, and
 /// thread counts never change a single bit, only the time it takes.
 /// Batch results come back in request-index order.
 ///
@@ -291,7 +289,6 @@ pub struct ReductionSession {
     /// Paused Lanczos runs, checked out (removed) while in use.
     runs: Mutex<Lru<RunKey, SympvlRun>>,
     store: Mutex<ModelStore>,
-    sweeper: Mutex<Option<Arc<AcSweeper>>>,
 }
 
 impl ReductionSession {
@@ -307,7 +304,6 @@ impl ReductionSession {
             factors: Mutex::new(FactorCache::new(opts.max_cached_factors)),
             runs: Mutex::new(Lru::new(opts.max_retained_runs)),
             store: Mutex::new(ModelStore::new(opts.max_retained_models)),
-            sweeper: Mutex::new(None),
         }
     }
 
@@ -564,22 +560,6 @@ impl ReductionSession {
             .collect()
     }
 
-    /// Exact AC sweep of the *full* system, reusing the session's
-    /// symbolic LDLᵀ analysis across calls (first call pays it).
-    ///
-    /// # Errors
-    ///
-    /// See [`mpvl_sim::ac_sweep`].
-    pub fn ac_sweep(&self, freqs_hz: &[f64]) -> Result<Vec<AcPoint>, AcError> {
-        let sweeper = {
-            let mut guard = relock(&self.sweeper);
-            guard
-                .get_or_insert_with(|| Arc::new(AcSweeper::new(&self.sys)))
-                .clone()
-        };
-        sweeper.sweep(freqs_hz)
-    }
-
     /// Cache occupancy and hit/miss counters, as one **consistent**
     /// snapshot: the factor, run, and model locks are all held
     /// simultaneously (acquired in the documented
@@ -602,7 +582,7 @@ impl ReductionSession {
     }
 
     /// Factorization with the session cache interposed — the `factor_fn`
-    /// seam of [`sympvl::factor_with_shift_via`].
+    /// seam of [`sympvl::factor_with_options_via`].
     fn cached_factor(&self, target: FactorTarget) -> Result<Arc<GFactor>, SympvlError> {
         relock(&self.factors)
             .get_or_insert_with(FactorKey::of(target), || factor_target(&self.sys, target))
@@ -840,10 +820,6 @@ mod tests {
                     let _g = session.store.lock().unwrap();
                     panic!("poison store");
                 }),
-                scope.spawn(|| {
-                    let _g = session.sweeper.lock().unwrap();
-                    panic!("poison sweeper");
-                }),
             ];
             for h in handles {
                 assert!(h.join().is_err(), "the poisoning thread must panic");
@@ -866,7 +842,6 @@ mod tests {
             .eval(&EvalRequest::new(first.model_id, vec![1e8, 1e9]).unwrap())
             .unwrap();
         assert_eq!(sweep.points.len(), 2);
-        assert!(session.ac_sweep(&[1e9]).is_ok());
         let stats = session.cache_stats();
         assert_eq!(stats.cached_models, 2);
     }

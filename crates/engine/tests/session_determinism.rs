@@ -195,26 +195,6 @@ fn batch_results_are_order_stable_and_thread_invariant() {
 }
 
 #[test]
-fn session_ac_sweep_matches_free_function_repeatedly() {
-    let sys = MnaSystem::assemble(&rc_ladder(24, 50.0, 1e-12)).unwrap();
-    let freqs = mpvl_sim::log_space(1e5, 1e10, 13);
-    let reference = mpvl_sim::ac_sweep(&sys, &freqs).unwrap();
-    let session = ReductionSession::new(sys);
-    for pass in 0..2 {
-        let pts = session.ac_sweep(&freqs).unwrap();
-        assert_eq!(pts.len(), reference.len());
-        for (a, b) in pts.iter().zip(&reference) {
-            assert_eq!(a.freq_hz.to_bits(), b.freq_hz.to_bits(), "pass {pass}");
-            let mut ha = Fnv::new();
-            let mut hb = Fnv::new();
-            ha.eat_cmat(&a.z);
-            hb.eat_cmat(&b.z);
-            assert_eq!(ha.0, hb.0, "pass {pass} at {} Hz", a.freq_hz);
-        }
-    }
-}
-
-#[test]
 fn eval_matches_compiled_plan_and_lu_accuracy() {
     // Session eval routes through the compiled pole–residue plan: results
     // must be bit-identical to evaluating that plan directly, and within

@@ -122,6 +122,29 @@ impl Complex64 {
     pub fn scale(self, k: f64) -> Self {
         Complex64::new(self.re * k, self.im * k)
     }
+
+    /// Integer power `self^p` as the product `ONE · self · self · …` of
+    /// `p` factors, left to right (`p = 0` gives [`Complex64::ONE`]).
+    ///
+    /// This is the one `s → σ = s^p` map of the workspace (and the
+    /// leading `s^q` of `Z(s)`): every caller multiplies in the same
+    /// order, so the same `s` and `p` give the same bits everywhere.
+    ///
+    /// ```
+    /// use mpvl_la::Complex64;
+    /// let s = Complex64::new(0.0, 2.0);
+    /// assert_eq!(s.powu(0), Complex64::ONE);
+    /// assert_eq!(s.powu(1), s);
+    /// assert_eq!(s.powu(2), Complex64::from_real(-4.0));
+    /// ```
+    #[inline]
+    pub fn powu(self, p: u32) -> Self {
+        let mut acc = Complex64::ONE;
+        for _ in 0..p {
+            acc *= self;
+        }
+        acc
+    }
 }
 
 impl From<f64> for Complex64 {

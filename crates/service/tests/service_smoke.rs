@@ -177,6 +177,36 @@ fn registry_persists_across_service_instances() {
 }
 
 #[test]
+fn a_corrupt_registry_file_is_a_miss_that_gets_rewritten() {
+    let dir = temp_dir("corrupt");
+    let netlist = ladder(12, 40.0, 2e-12);
+    let request = ServiceRequest::from_spec(&netlist, ReduceSpec::pade_fixed(4).unwrap()).unwrap();
+    let path = dir.join(format!("{}.rom", request.registry_key()));
+    let good = {
+        let service = ReductionService::new(ServiceOptions::default().with_registry_dir(&dir));
+        sympvl::write_model(&service.submit(&request).unwrap().model)
+    };
+    assert_eq!(std::fs::read_to_string(&path).unwrap(), good);
+    // A header that asks for 10¹⁶ floats, and one with a fractional
+    // count: each must read as a miss, never abort or panic the service.
+    for corrupt in ["order 100000000", "order 2.5"] {
+        let text = good.replacen("order 4", corrupt, 1);
+        assert_ne!(text, good);
+        std::fs::write(&path, text).unwrap();
+        let service = ReductionService::new(ServiceOptions::default().with_registry_dir(&dir));
+        let outcome = service.submit(&request).unwrap();
+        assert!(!outcome.registry_hit, "{corrupt}: a corrupt file is a miss");
+        assert_eq!(sympvl::write_model(&outcome.model), good, "{corrupt}");
+        assert_eq!(
+            std::fs::read_to_string(&path).unwrap(),
+            good,
+            "{corrupt}: the miss rewrites the file"
+        );
+    }
+    let _ = std::fs::remove_dir_all(&dir);
+}
+
+#[test]
 fn admission_control_rejects_deterministically_in_index_order() {
     let netlist = ladder(12, 90.0, 1e-12);
     let service = ReductionService::new(ServiceOptions::default().with_max_in_flight(2).unwrap());

@@ -95,10 +95,10 @@ pub fn ac_sweep(sys: &MnaSystem, freqs_hz: &[f64]) -> Result<Vec<AcPoint>, AcErr
 /// one-time [`SymbolicLdlt`] analysis, ready to serve any number of
 /// [`AcSweeper::sweep`] calls.
 ///
-/// The free function [`ac_sweep`] constructs one per call; the session
-/// engine constructs one per system and amortizes the symbolic analysis
-/// (and the `f64 → Complex64` matrix copies) across every sweep
-/// request. Sweeps through a retained sweeper are bit-identical to the
+/// The free function [`ac_sweep`] constructs one per call; a caller
+/// that sweeps one system repeatedly keeps one and amortizes the
+/// symbolic analysis (and the `f64 → Complex64` matrix copies) across
+/// every sweep. Sweeps through a retained sweeper are bit-identical to the
 /// free function: the symbolic analysis is deterministic, and each
 /// point's numeric work is unchanged.
 pub struct AcSweeper {
@@ -147,36 +147,6 @@ impl AcSweeper {
             k_union,
             s_power: sys.s_power,
             output_s_factor: sys.output_s_factor,
-        }
-    }
-
-    /// `σ(s) = s^{s_power}` — mirrors [`MnaSystem::sigma`] exactly.
-    fn sigma(&self, s: Complex64) -> Complex64 {
-        match self.s_power {
-            1 => s,
-            2 => s * s,
-            p => {
-                let mut acc = Complex64::ONE;
-                for _ in 0..p {
-                    acc *= s;
-                }
-                acc
-            }
-        }
-    }
-
-    /// `s^{output_s_factor}` — mirrors [`MnaSystem::output_factor`].
-    fn output_factor(&self, s: Complex64) -> Complex64 {
-        match self.output_s_factor {
-            0 => Complex64::ONE,
-            1 => s,
-            p => {
-                let mut acc = Complex64::ONE;
-                for _ in 0..p {
-                    acc *= s;
-                }
-                acc
-            }
         }
     }
 
@@ -248,7 +218,7 @@ impl AcSweeper {
         let _item = mpvl_obs::index_scope(index as u64);
         let _span = mpvl_obs::span("ac", "point_solve");
         let s = Complex64::new(0.0, 2.0 * std::f64::consts::PI * f);
-        let sigma = self.sigma(s);
+        let sigma = s.powu(self.s_power);
         self.plan.apply_into(
             Complex64::ONE,
             self.g.values(),
@@ -288,7 +258,7 @@ impl AcSweeper {
                 ],
             );
         }
-        let z = self.bz.t_matmul(x).scale(self.output_factor(s));
+        let z = self.bz.t_matmul(x).scale(s.powu(self.output_s_factor));
         Ok(AcPoint { freq_hz: f, z })
     }
 }
@@ -305,7 +275,8 @@ fn dense_solve(
         .map_err(|_| AcError::SingularAtFrequency { freq_hz })
 }
 
-/// Error returned by the [`FreqGrid`] constructors for an invalid span.
+/// Error returned by [`try_log_space`] / [`try_lin_space`] for an
+/// invalid span.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct GridError {
     /// What was wrong with the requested grid.
@@ -320,162 +291,95 @@ impl fmt::Display for GridError {
 
 impl std::error::Error for GridError {}
 
-/// A validated frequency grid (Hz), strictly increasing and finite
-/// (degenerate spans collapse to a single point rather than repeating
-/// it).
+/// Logarithmically spaced frequency grid (Hz) from `f_lo` to `f_hi`
+/// (inclusive), strictly increasing and finite.
 ///
-/// The fallible counterpart of [`log_space`] / [`lin_space`] — same
-/// floating-point formulas, but a bad span comes back as a [`GridError`]
-/// instead of a panic, which is what request-building code paths want
-/// (engine eval requests and the figure benches).
+/// The fallible form of [`log_space`] (same formula): a bad span comes
+/// back as a [`GridError`] instead of a panic, which is what
+/// request-building code wants. Degenerate spans collapse instead of
+/// duplicating: `points == 1` yields the single point `[f_lo]`, and
+/// coincident endpoints (`f_lo == f_hi`) yield one point regardless of
+/// `points` — callers that feed these grids programmatically (adaptive
+/// multi-point placement) must never receive the same probe twice or a
+/// probe outside `[f_lo, f_hi]`.
 ///
 /// ```
-/// use mpvl_sim::FreqGrid;
-/// let grid = FreqGrid::log(1e6, 1e9, 4).unwrap();
+/// use mpvl_sim::try_log_space;
+/// let grid = try_log_space(1e6, 1e9, 4).unwrap();
 /// assert_eq!(grid.len(), 4);
-/// assert!((grid.as_slice()[0] - 1e6).abs() < 1e-6);
-/// assert!(FreqGrid::log(-1.0, 1e9, 4).is_err());
+/// assert!((grid[0] - 1e6).abs() < 1e-6);
+/// assert!(try_log_space(-1.0, 1e9, 4).is_err());
 /// ```
-#[derive(Debug, Clone, PartialEq)]
-pub struct FreqGrid {
-    freqs: Vec<f64>,
+///
+/// # Errors
+///
+/// [`GridError`] unless `0 < f_lo <= f_hi` (finite) and `points >= 1`.
+pub fn try_log_space(f_lo: f64, f_hi: f64, points: usize) -> Result<Vec<f64>, GridError> {
+    grid(f_lo, f_hi, points, true)
 }
 
-impl FreqGrid {
-    /// Logarithmically spaced grid from `f_lo` to `f_hi` (inclusive).
-    ///
-    /// Degenerate spans collapse instead of duplicating: `points == 1`
-    /// yields the single point `[f_lo]`, and coincident endpoints
-    /// (`f_lo == f_hi`) yield one point regardless of `points` —
-    /// callers that feed these grids programmatically (adaptive
-    /// multi-point placement) must never receive the same probe twice
-    /// or a probe outside `[f_lo, f_hi]`.
-    ///
-    /// # Errors
-    ///
-    /// [`GridError`] unless `0 < f_lo <= f_hi` (finite) and
-    /// `points >= 1`.
-    pub fn log(f_lo: f64, f_hi: f64, points: usize) -> Result<Self, GridError> {
-        if !(f_lo.is_finite() && f_hi.is_finite()) {
-            return Err(GridError {
-                reason: format!("endpoints must be finite, got {f_lo} and {f_hi}"),
-            });
-        }
-        if !(f_lo > 0.0) {
-            return Err(GridError {
-                reason: format!("log grid needs a positive start, got {f_lo}"),
-            });
-        }
-        if f_hi < f_lo {
-            return Err(GridError {
-                reason: format!("end {f_hi} must not be below start {f_lo}"),
-            });
-        }
-        if points == 0 {
-            return Err(GridError {
-                reason: "need at least 1 point".to_string(),
-            });
-        }
-        if points == 1 || f_hi == f_lo {
-            return Ok(FreqGrid { freqs: vec![f_lo] });
-        }
+/// Linearly spaced frequency grid (Hz) from `f_lo` to `f_hi`
+/// (inclusive): the fallible form of [`lin_space`], collapsing
+/// degenerate spans the same way as [`try_log_space`].
+///
+/// # Errors
+///
+/// [`GridError`] unless `f_lo <= f_hi` (finite) and `points >= 1`.
+pub fn try_lin_space(f_lo: f64, f_hi: f64, points: usize) -> Result<Vec<f64>, GridError> {
+    grid(f_lo, f_hi, points, false)
+}
+
+fn grid(f_lo: f64, f_hi: f64, points: usize, log: bool) -> Result<Vec<f64>, GridError> {
+    let fail = |reason: String| Err(GridError { reason });
+    if !(f_lo.is_finite() && f_hi.is_finite()) {
+        return fail(format!("endpoints must be finite, got {f_lo} and {f_hi}"));
+    }
+    if log && f_lo <= 0.0 {
+        return fail(format!("log grid needs a positive start, got {f_lo}"));
+    }
+    if f_hi < f_lo {
+        return fail(format!("end {f_hi} must not be below start {f_lo}"));
+    }
+    if points == 0 {
+        return fail("need at least 1 point".to_string());
+    }
+    if points == 1 || f_hi == f_lo {
+        return Ok(vec![f_lo]);
+    }
+    let steps = (points - 1) as f64;
+    Ok(if log {
         let l0 = f_lo.ln();
         let l1 = f_hi.ln();
-        Ok(FreqGrid {
-            freqs: (0..points)
-                .map(|i| (l0 + (l1 - l0) * i as f64 / (points - 1) as f64).exp())
-                .collect(),
-        })
-    }
-
-    /// Linearly spaced grid from `f_lo` to `f_hi` (inclusive).
-    ///
-    /// Degenerate spans collapse the same way as [`FreqGrid::log`]:
-    /// `points == 1` or coincident endpoints yield the single point
-    /// `[f_lo]`, never duplicates.
-    ///
-    /// # Errors
-    ///
-    /// [`GridError`] unless `f_lo <= f_hi` (finite) and `points >= 1`.
-    pub fn lin(f_lo: f64, f_hi: f64, points: usize) -> Result<Self, GridError> {
-        if !(f_lo.is_finite() && f_hi.is_finite()) {
-            return Err(GridError {
-                reason: format!("endpoints must be finite, got {f_lo} and {f_hi}"),
-            });
-        }
-        if f_hi < f_lo {
-            return Err(GridError {
-                reason: format!("end {f_hi} must not be below start {f_lo}"),
-            });
-        }
-        if points == 0 {
-            return Err(GridError {
-                reason: "need at least 1 point".to_string(),
-            });
-        }
-        if points == 1 || f_hi == f_lo {
-            return Ok(FreqGrid { freqs: vec![f_lo] });
-        }
-        Ok(FreqGrid {
-            freqs: (0..points)
-                .map(|i| f_lo + (f_hi - f_lo) * i as f64 / (points - 1) as f64)
-                .collect(),
-        })
-    }
-
-    /// Number of grid points (always at least 1; degenerate spans
-    /// collapse to one point, so this can be less than the `points`
-    /// argument).
-    pub fn len(&self) -> usize {
-        self.freqs.len()
-    }
-
-    /// Always `false`; present for clippy's `len`/`is_empty` convention.
-    pub fn is_empty(&self) -> bool {
-        self.freqs.is_empty()
-    }
-
-    /// The frequencies in Hz.
-    pub fn as_slice(&self) -> &[f64] {
-        &self.freqs
-    }
-
-    /// Consumes the grid into its frequency vector.
-    pub fn into_vec(self) -> Vec<f64> {
-        self.freqs
-    }
-}
-
-impl From<FreqGrid> for Vec<f64> {
-    fn from(grid: FreqGrid) -> Vec<f64> {
-        grid.freqs
-    }
+        (0..points)
+            .map(|i| (l0 + (l1 - l0) * i as f64 / steps).exp())
+            .collect()
+    } else {
+        (0..points)
+            .map(|i| f_lo + (f_hi - f_lo) * i as f64 / steps)
+            .collect()
+    })
 }
 
 /// Logarithmically spaced frequency grid from `f_lo` to `f_hi` (inclusive).
 ///
-/// The panicking convenience form of [`FreqGrid::log`].
+/// The panicking convenience form of [`try_log_space`].
 ///
 /// # Panics
 ///
 /// Panics unless `0 < f_lo <= f_hi` and `points >= 1`.
 pub fn log_space(f_lo: f64, f_hi: f64, points: usize) -> Vec<f64> {
-    FreqGrid::log(f_lo, f_hi, points)
-        .unwrap_or_else(|e| panic!("{e}"))
-        .into_vec()
+    try_log_space(f_lo, f_hi, points).unwrap_or_else(|e| panic!("{e}"))
 }
 
 /// Linearly spaced frequency grid from `f_lo` to `f_hi` (inclusive).
 ///
-/// The panicking convenience form of [`FreqGrid::lin`].
+/// The panicking convenience form of [`try_lin_space`].
 ///
 /// # Panics
 ///
 /// Panics unless `f_lo <= f_hi` and `points >= 1`.
 pub fn lin_space(f_lo: f64, f_hi: f64, points: usize) -> Vec<f64> {
-    FreqGrid::lin(f_lo, f_hi, points)
-        .unwrap_or_else(|e| panic!("{e}"))
-        .into_vec()
+    try_lin_space(f_lo, f_hi, points).unwrap_or_else(|e| panic!("{e}"))
 }
 
 #[cfg(test)]
@@ -486,67 +390,74 @@ mod tests {
 
     #[test]
     fn freq_grid_matches_free_functions_bitwise() {
-        let g = FreqGrid::log(1e6, 1e10, 33).unwrap();
+        // The fallible grids and their panicking forms evaluate the
+        // closed-form spacing, bit for bit.
+        let g = try_log_space(1e6, 1e10, 33).unwrap();
         let f = log_space(1e6, 1e10, 33);
         assert_eq!(g.len(), 33);
-        for (a, b) in g.as_slice().iter().zip(&f) {
+        let (l0, l1) = (1e6f64.ln(), 1e10f64.ln());
+        for (i, (a, b)) in g.iter().zip(&f).enumerate() {
+            let expect = (l0 + (l1 - l0) * i as f64 / 32.0).exp();
             assert_eq!(a.to_bits(), b.to_bits());
+            assert_eq!(a.to_bits(), expect.to_bits());
         }
-        let g = FreqGrid::lin(2.5e8, 5e9, 17).unwrap();
+        let g = try_lin_space(2.5e8, 5e9, 17).unwrap();
         let f = lin_space(2.5e8, 5e9, 17);
-        for (a, b) in g.as_slice().iter().zip(&f) {
+        for (i, (a, b)) in g.iter().zip(&f).enumerate() {
+            let expect = 2.5e8 + (5e9 - 2.5e8) * i as f64 / 16.0;
             assert_eq!(a.to_bits(), b.to_bits());
+            assert_eq!(a.to_bits(), expect.to_bits());
         }
     }
 
     #[test]
     fn freq_grid_rejects_bad_spans() {
-        assert!(FreqGrid::log(0.0, 1e9, 4).is_err());
-        assert!(FreqGrid::log(-1.0, 1e9, 4).is_err());
-        assert!(FreqGrid::log(1e9, 1e6, 4).is_err());
-        assert!(FreqGrid::log(1e6, 1e9, 0).is_err());
-        assert!(FreqGrid::log(f64::NAN, 1e9, 4).is_err());
-        assert!(FreqGrid::log(1e6, f64::INFINITY, 4).is_err());
-        assert!(FreqGrid::lin(1e9, 1e6, 4).is_err());
-        assert!(FreqGrid::lin(1e6, 1e9, 0).is_err());
-        assert!(FreqGrid::lin(1e6, f64::NAN, 4).is_err());
+        assert!(try_log_space(0.0, 1e9, 4).is_err());
+        assert!(try_log_space(-1.0, 1e9, 4).is_err());
+        assert!(try_log_space(1e9, 1e6, 4).is_err());
+        assert!(try_log_space(1e6, 1e9, 0).is_err());
+        assert!(try_log_space(f64::NAN, 1e9, 4).is_err());
+        assert!(try_log_space(1e6, f64::INFINITY, 4).is_err());
+        assert!(try_lin_space(1e9, 1e6, 4).is_err());
+        assert!(try_lin_space(1e6, 1e9, 0).is_err());
+        assert!(try_lin_space(1e6, f64::NAN, 4).is_err());
         // Negative starts are fine for linear grids (e.g. sweep offsets).
-        assert!(FreqGrid::lin(-5.0, 5.0, 3).is_ok());
-        let e = FreqGrid::log(1e9, 1e6, 4).unwrap_err();
+        assert!(try_lin_space(-5.0, 5.0, 3).is_ok());
+        let e = try_log_space(1e9, 1e6, 4).unwrap_err();
         assert!(e.to_string().contains("must not be below"));
     }
 
     #[test]
     fn freq_grid_degenerate_spans_collapse_without_duplicates() {
         // points == 1: exactly one probe, at the low endpoint.
-        let g = FreqGrid::log(1e6, 1e9, 1).unwrap();
-        assert_eq!(g.as_slice(), &[1e6]);
-        let g = FreqGrid::lin(2.5e8, 5e9, 1).unwrap();
-        assert_eq!(g.as_slice(), &[2.5e8]);
+        let g = try_log_space(1e6, 1e9, 1).unwrap();
+        assert_eq!(g, [1e6]);
+        let g = try_lin_space(2.5e8, 5e9, 1).unwrap();
+        assert_eq!(g, [2.5e8]);
 
         // Coincident endpoints: one probe no matter how many were
         // requested (a repeated probe would double-count a frequency in
         // placement heuristics, and interpolating 0/0 spans would emit
         // NaN probes — both out of contract).
         for points in [1usize, 2, 7] {
-            let g = FreqGrid::log(3e8, 3e8, points).unwrap();
-            assert_eq!(g.as_slice(), &[3e8]);
-            let g = FreqGrid::lin(-2.0, -2.0, points).unwrap();
-            assert_eq!(g.as_slice(), &[-2.0]);
+            let g = try_log_space(3e8, 3e8, points).unwrap();
+            assert_eq!(g, [3e8]);
+            let g = try_lin_space(-2.0, -2.0, points).unwrap();
+            assert_eq!(g, [-2.0]);
         }
 
         // Collapsed grids still honour the log-grid positivity rule.
-        assert!(FreqGrid::log(0.0, 0.0, 1).is_err());
+        assert!(try_log_space(0.0, 0.0, 1).is_err());
 
         // Non-degenerate grids never contain duplicates or out-of-band
         // points, even for spans one ulp wide.
         let lo: f64 = 1e9;
         let hi = f64::from_bits(lo.to_bits() + 1);
-        let g = FreqGrid::lin(lo, hi, 5).unwrap();
-        for w in g.as_slice().windows(2) {
+        let g = try_lin_space(lo, hi, 5).unwrap();
+        for w in g.windows(2) {
             assert!(w[1] >= w[0]);
         }
-        for &f in g.as_slice() {
+        for &f in &g {
             assert!((lo..=hi).contains(&f));
         }
     }

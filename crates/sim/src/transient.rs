@@ -82,6 +82,120 @@ pub struct TransientResult {
     pub cpu_seconds: f64,
 }
 
+/// The products a fixed-step integrator needs from a descriptor system
+/// `G x + C ẋ = B u(t)`, `y = Bᵀx`: the full MNA system implements it
+/// over its sparse `G` and `C`, and a reduced model's stamp over dense
+/// ones, so both run the one time loop in [`integrate`].
+pub trait Descriptor {
+    /// The port matrix `B` (`n × p`).
+    fn b(&self) -> &Mat<f64>;
+    /// `G x`.
+    fn g_mul(&self, x: &[f64]) -> Vec<f64>;
+    /// `C x`.
+    fn c_mul(&self, x: &[f64]) -> Vec<f64>;
+}
+
+impl Descriptor for MnaSystem {
+    fn b(&self) -> &Mat<f64> {
+        &self.b
+    }
+    fn g_mul(&self, x: &[f64]) -> Vec<f64> {
+        self.g.matvec(x)
+    }
+    fn c_mul(&self, x: &[f64]) -> Vec<f64> {
+        self.c.matvec(x)
+    }
+}
+
+/// The fixed-step time loop shared by [`transient`] and the reduced
+/// model's stamp integration: integrates `sys` from rest over `steps`
+/// steps of size `h`, driven by one [`Waveform`] per column of `B`, and
+/// returns the outputs `y = Bᵀx`.
+///
+/// `factor` receives `α/h` (`α = 1` for backward Euler, `2` for the
+/// trapezoidal rule), factors the companion matrix `K = G + (α/h)C`
+/// and returns its solve `x = K⁻¹r`; the caller keeps its own solver
+/// and error type. `cpu_seconds` covers the factorization and the
+/// steps.
+///
+/// # Errors
+///
+/// Whatever `factor` or the returned solve reports.
+///
+/// # Panics
+///
+/// Panics unless `h` is positive and finite, or if `sources.len()`
+/// differs from the column count of `B`.
+pub fn integrate<D, S, E>(
+    sys: &D,
+    sources: &[Waveform],
+    h: f64,
+    steps: usize,
+    method: Integrator,
+    factor: impl FnOnce(f64) -> Result<S, E>,
+) -> Result<TransientResult, E>
+where
+    D: Descriptor + ?Sized,
+    S: FnMut(&[f64]) -> Result<Vec<f64>, E>,
+{
+    assert!(h > 0.0 && h.is_finite(), "bad step size");
+    let b = sys.b();
+    let (n, p) = (b.nrows(), b.ncols());
+    assert_eq!(sources.len(), p, "one waveform per port");
+    let start = std::time::Instant::now();
+    let alpha = match method {
+        Integrator::BackwardEuler => 1.0,
+        Integrator::Trapezoidal => 2.0,
+    };
+    let mut solve = factor(alpha / h)?;
+
+    let eval_u = |t: f64| -> Vec<f64> { sources.iter().map(|w| w.eval(t)).collect() };
+    // From rest: x = 0, so row 0 of the output stays zero.
+    let mut x = vec![0.0f64; n];
+    let mut times = Vec::with_capacity(steps + 1);
+    let mut voltages = Mat::zeros(steps + 1, p);
+    times.push(0.0);
+    let mut u_prev = eval_u(0.0);
+    for k_step in 1..=steps {
+        let t = k_step as f64 * h;
+        let u_next = eval_u(t);
+        // rhs by method:
+        //   BE: (C/h) x_k                + B u_{k+1}
+        //   TR: (2C/h) x_k - G x_k       + B (u_{k+1} + u_k)
+        let cx = sys.c_mul(&x);
+        let rhs: Vec<f64> = match method {
+            Integrator::BackwardEuler => {
+                let mut r = b.matvec(&u_next);
+                for i in 0..n {
+                    r[i] += cx[i] / h;
+                }
+                r
+            }
+            Integrator::Trapezoidal => {
+                let gx = sys.g_mul(&x);
+                let usum: Vec<f64> = u_next.iter().zip(&u_prev).map(|(a, b)| a + b).collect();
+                let mut r = b.matvec(&usum);
+                for i in 0..n {
+                    r[i] += 2.0 * cx[i] / h - gx[i];
+                }
+                r
+            }
+        };
+        x = solve(&rhs)?;
+        times.push(t);
+        let y = b.t_matvec(&x);
+        for (j, &v) in y.iter().enumerate() {
+            voltages[(k_step, j)] = v;
+        }
+        u_prev = u_next;
+    }
+    Ok(TransientResult {
+        times,
+        port_voltages: voltages,
+        cpu_seconds: start.elapsed().as_secs_f64(),
+    })
+}
+
 /// Integrates `G x + C ẋ = B u(t)` from rest over `steps` steps of size
 /// `h` seconds, driven by one current [`Waveform`] per port. Returns the
 /// port voltages `y = Bᵀx`.
@@ -134,71 +248,14 @@ pub fn transient(
             sources: sources.len(),
         });
     }
-    assert!(h > 0.0 && h.is_finite(), "bad step size");
-    let n = sys.dim();
-    let start = std::time::Instant::now();
-
-    // Companion matrix K = G + (alpha/h) C, factored once.
-    let alpha = match method {
-        Integrator::BackwardEuler => 1.0,
-        Integrator::Trapezoidal => 2.0,
-    };
-    let k = sys.g.add_scaled(1.0, &sys.c, alpha / h);
-    let fac = RealSolver::factor(&k, sys.is_symmetric())?;
-    if matches!(fac, RealSolver::SymDense(_)) {
-        mpvl_obs::counter_add("transient", "dense_fallbacks", 1);
-    }
-
-    let eval_u = |t: f64| -> Vec<f64> { sources.iter().map(|w| w.eval(t)).collect() };
-    let bu = |u: &[f64]| -> Vec<f64> { sys.b.matvec(u) };
-
-    let mut x = vec![0.0f64; n];
-    let mut times = Vec::with_capacity(steps + 1);
-    let mut voltages = Mat::zeros(steps + 1, p);
-    times.push(0.0);
-    let y0 = sys.b.t_matvec(&x);
-    for (j, &v) in y0.iter().enumerate() {
-        voltages[(0, j)] = v;
-    }
-    let mut u_prev = eval_u(0.0);
-    for k_step in 1..=steps {
-        let t = k_step as f64 * h;
-        let u_next = eval_u(t);
-        // rhs by method:
-        //   BE: (C/h) x_k                + B u_{k+1}
-        //   TR: (2C/h) x_k - G x_k       + B (u_{k+1} + u_k)
-        let cx = sys.c.matvec(&x);
-        let mut rhs: Vec<f64> = match method {
-            Integrator::BackwardEuler => {
-                let mut r = bu(&u_next);
-                for i in 0..n {
-                    r[i] += cx[i] / h;
-                }
-                r
-            }
-            Integrator::Trapezoidal => {
-                let gx = sys.g.matvec(&x);
-                let usum: Vec<f64> = u_next.iter().zip(&u_prev).map(|(a, b)| a + b).collect();
-                let mut r = bu(&usum);
-                for i in 0..n {
-                    r[i] += 2.0 * cx[i] / h - gx[i];
-                }
-                r
-            }
-        };
-        x = fac.solve(&rhs);
-        rhs.clear();
-        times.push(t);
-        let y = sys.b.t_matvec(&x);
-        for (j, &v) in y.iter().enumerate() {
-            voltages[(k_step, j)] = v;
+    integrate(sys, sources, h, steps, method, |alpha_h| {
+        // Companion matrix K = G + (alpha/h) C, factored once.
+        let k = sys.g.add_scaled(1.0, &sys.c, alpha_h);
+        let fac = RealSolver::factor(&k, sys.is_symmetric())?;
+        if matches!(fac, RealSolver::SymDense(_)) {
+            mpvl_obs::counter_add("transient", "dense_fallbacks", 1);
         }
-        u_prev = u_next;
-    }
-    Ok(TransientResult {
-        times,
-        port_voltages: voltages,
-        cpu_seconds: start.elapsed().as_secs_f64(),
+        Ok(move |rhs: &[f64]| Ok(fac.solve(rhs)))
     })
 }
 

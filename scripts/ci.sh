@@ -170,4 +170,14 @@ for bin in ablation_passivity ablation_multipoint; do
     cargo run -q --release --offline -p mpvl-bench --bin "$bin"
 done
 
+echo "==> examples (run end to end, not just built)"
+# The build step above only compiles them. Four drive `transient` (two
+# also measure with `Trace`), so a regression in the shared time loop
+# or the stamp shows here; each takes well under 0.1 s and exits
+# nonzero on any error.
+for ex in quickstart peec_resonance package_model crosstalk_synthesis \
+    adaptive_workflow active_mpvl clock_skew; do
+    cargo run -q --release --offline -p sympvl --example "$ex"
+done
+
 echo "==> ci.sh: all green"
